@@ -18,11 +18,9 @@
 //! reports the measured serial time for both columns instead of timing
 //! the identical path twice and recording noise as a speedup.
 //!
-//! Two single-threaded format rows complete the report:
-//! `snapshot_load_cold` (legacy directory decode vs `snapshot.ctxr`
-//! arena load of the same snapshot) and `postings_decode` (scalar
-//! varint loop vs the unrolled block decoder over the same coded
-//! postings).
+//! One single-threaded format row completes the report:
+//! `postings_decode` (scalar varint loop vs the unrolled block decoder
+//! over the same coded postings).
 //!
 //! Two streaming-ingestion rows cover the event-sourced path:
 //! `click_ingest` (durable segment append+seal rate vs the in-memory
@@ -34,13 +32,7 @@
 //! (best-of-N timing, default 3).
 
 use ctxrank_bench::{build_projector, build_runtime_ranker, Experiment, ExperimentConfig};
-use ctxrank_features::{InterestFeatures, RelevantTerms};
-use ctxrank_framework::persist::{load_snapshot, save_snapshot, save_snapshot_legacy};
-use ctxrank_framework::{
-    GlobalTidTable, PackedInterestStore, PackedRelevanceStore, Snapshot, SnapshotBuilder,
-};
 use ctxrank_index::{decode_all, encode_blocks, read_varint, BLOCK};
-use ctxrank_ltr::{train, RankGroup, SvmConfig};
 use ctxrank_querylog::{Event, SegmentConfig, SegmentStore, StdSegmentFs};
 use ctxrank_synth::{EventStream, StreamConfig};
 use std::hint::black_box;
@@ -175,96 +167,6 @@ fn sweep_component(
             row(component, bytes, t, workers, s, p)
         })
         .collect()
-}
-
-/// A deliberately large snapshot (30k concepts, ~30 keywords each) so
-/// the `snapshot_load_cold` row times format decode, not file-open
-/// syscalls.
-fn big_snapshot() -> Arc<Snapshot> {
-    const CONCEPTS: usize = 30_000;
-    const VOCAB: usize = 60_000;
-    const KEYWORDS: usize = 30;
-    let concepts: Vec<(String, InterestFeatures)> = (0..CONCEPTS)
-        .map(|i| {
-            (
-                format!("concept {i}"),
-                InterestFeatures {
-                    freq_exact: (i as u64 * 17) % 9973,
-                    freq_phrase_contained: (i as u64 * 29) % 14341,
-                    unit_score: (i as f64 * 0.37) % 1.0,
-                    searchengine_phrase: (i as u64 * 5) % 4001,
-                    concept_size: (i % 3 + 1) as u32,
-                    number_of_chars: (i % 20 + 4) as u32,
-                    subconcepts: (i % 2) as u32,
-                    high_level_type: (i % 7) as u8,
-                    wiki_word_count: (i * 113 % 5000) as u32,
-                },
-            )
-        })
-        .collect();
-    let interest = PackedInterestStore::build(&concepts);
-
-    let keyword_sets: Vec<RelevantTerms> = (0..CONCEPTS)
-        .map(|i| RelevantTerms {
-            terms: (0..KEYWORDS)
-                .map(|j| {
-                    let term = (i * 7 + j * 13) % VOCAB;
-                    (format!("term{term}"), 1.0 + (i + j) as f64 % 10.0)
-                })
-                .collect(),
-        })
-        .collect();
-    let mut tids = GlobalTidTable::new();
-    let relevance = PackedRelevanceStore::build(
-        concepts
-            .iter()
-            .map(|(s, _)| s.as_str())
-            .zip(keyword_sets.iter()),
-        &mut tids,
-    );
-
-    let groups: Vec<RankGroup> = (0..10)
-        .map(|g| {
-            RankGroup::from_pairs((0..2).map(|i| {
-                let mut f = vec![0.0; 10];
-                f[9] = (g + i) as f64;
-                (f, i as f64 * 0.01)
-            }))
-        })
-        .collect();
-    let model = train(&groups, &SvmConfig::default());
-    SnapshotBuilder::new()
-        .interest(interest)
-        .relevance(relevance)
-        .tids(tids)
-        .model(model)
-        .build()
-        .expect("big snapshot")
-}
-
-/// The `snapshot_load_cold` row: the same snapshot saved in the legacy
-/// directory format ("serial") and as the single-file arena
-/// ("parallel"), loaded back through the same `load_snapshot` entry
-/// point. Throughput basis is the arena file size; the speedup column
-/// is the arena's advantage over the per-entry legacy decode.
-fn snapshot_load_cold_row(reps: usize) -> serde_json::Value {
-    let scratch = std::env::temp_dir().join(format!("ctxrank-perf-load-{}", std::process::id()));
-    let legacy_dir = scratch.join("legacy");
-    let arena_dir = scratch.join("arena");
-    let snap = big_snapshot();
-    save_snapshot_legacy(&snap, &legacy_dir).expect("legacy save");
-    save_snapshot(&snap, &arena_dir).expect("arena save");
-    let arena_bytes = std::fs::metadata(arena_dir.join("snapshot.ctxr"))
-        .expect("arena file")
-        .len() as usize;
-
-    let (legacy_s, arena_s) = best_pair(
-        reps,
-        || load_snapshot(&legacy_dir).expect("legacy load").epoch(),
-        || load_snapshot(&arena_dir).expect("arena load").epoch(),
-    );
-    let _ = std::fs::remove_dir_all(&scratch);
-    row("snapshot_load_cold", arena_bytes, 1, 1, legacy_s, arena_s)
 }
 
 /// The `postings_decode` row: the same delta-varint block-coded
@@ -725,7 +627,7 @@ fn main() {
     // Snapshot hot-swap: single-reader throughput on a static snapshot
     // ("serial") vs the aggregate throughput of `workers` concurrent
     // readers while a publisher continuously swaps rebuilt snapshots
-    // underneath them ("parallel"). The lock-free read path must scale
+    // underneath them ("parallel"). The read path must scale
     // with readers and never stall on a publish, so speedup ≥ 1.0 at
     // any worker count is the pass condition.
     let snap_a = ctxrank_bench::build_snapshot(&fx.exp);
@@ -884,9 +786,7 @@ fn main() {
     // run, default 1500) and `OPENLOOP_SLO_P99_MS` (default 50).
     rows.extend(openloop_rows(&fx.exp, &serve_handle));
 
-    // Format rows: arena vs legacy snapshot load, unrolled vs scalar
-    // postings decode.
-    rows.push(snapshot_load_cold_row(reps));
+    // Format row: unrolled vs scalar postings decode.
     rows.push(postings_decode_row(reps));
 
     // Streaming-ingestion rows: durable append+seal rate and the

@@ -537,8 +537,13 @@ impl PublishStage {
         // resource the production system uses, §V-A.6).
         let mut tids = GlobalTidTable::new();
         let snippets = &relevance_models[resource_index(MiningResource::Snippets)];
-        let keyword_sets: Vec<(&str, &ctxrank_features::RelevantTerms)> = interest_raw
-            .keys()
+        // The store interns keywords in row order, so rows go in sorted:
+        // term ids (and with them the order relevance is summed in and
+        // the arena bytes) must not depend on `HashMap` iteration.
+        let mut surfaces: Vec<&String> = interest_raw.keys().collect();
+        surfaces.sort_unstable();
+        let keyword_sets: Vec<(&str, &ctxrank_features::RelevantTerms)> = surfaces
+            .into_iter()
             .filter_map(|s| snippets.terms(s).map(|rt| (s.as_str(), rt)))
             .collect();
         let relevance = PackedRelevanceStore::build(keyword_sets, &mut tids);
@@ -602,5 +607,46 @@ mod tests {
         assert_eq!(projector.epoch(), snap.epoch());
         assert_eq!(projector.surfaces(), exp.interest_raw.len());
         assert_eq!(projector.folded_seq(), 0, "no segments folded yet");
+    }
+
+    #[test]
+    fn term_ids_do_not_depend_on_hashmap_order() {
+        let exp = crate::Experiment::build(ExperimentConfig::small(7));
+        // The same entries in a second map: its own `RandomState`, so
+        // its own iteration order.
+        let recollected: HashMap<String, InterestFeatures> = exp
+            .interest_raw
+            .iter()
+            .map(|(s, f)| (s.clone(), *f))
+            .collect();
+        let bootstrap = |interest_raw| {
+            let trained = TrainStage::run(&exp.dataset);
+            PublishStage::run(interest_raw, &exp.relevance_models, trained)
+        };
+        let a = bootstrap(&exp.interest_raw);
+        let b = bootstrap(&recollected);
+
+        assert_eq!(a.tids().len(), b.tids().len());
+        assert!(a.tids().len() > 100, "a vocabulary worth ordering");
+        for i in 0..a.tids().len() as u32 {
+            let id = ctxrank_framework::TermId(i);
+            assert_eq!(a.tids().term(id), b.tids().term(id), "term {i}");
+        }
+
+        let (a, b) = (
+            ctxrank_framework::RuntimeRanker::from_snapshot(a),
+            ctxrank_framework::RuntimeRanker::from_snapshot(b),
+        );
+        for g in exp.dataset.groups.iter().take(20) {
+            let text = &exp.world.news[g.story].text;
+            let candidates: Vec<String> = g.items.iter().map(|i| i.surface.clone()).collect();
+            let (ra, rb) = (a.rank(text, &candidates), b.rank(text, &candidates));
+            assert_eq!(ra.len(), rb.len());
+            for (x, y) in ra.iter().zip(&rb) {
+                assert_eq!(x.surface, y.surface);
+                assert_eq!(x.score.to_bits(), y.score.to_bits());
+                assert_eq!(x.relevance.to_bits(), y.relevance.to_bits());
+            }
+        }
     }
 }

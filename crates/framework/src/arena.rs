@@ -1,12 +1,12 @@
 //! The single-file arena snapshot format (`snapshot.ctxr`).
 //!
-//! The legacy directory layout decodes every store entry on load:
-//! each surface string is allocated, hashed and inserted into a
-//! `HashMap`, every packed pair is copied through a byte cursor. For a
-//! million-concept snapshot that is millions of allocations before the
-//! first query can be served. The arena format removes that work: the
-//! whole snapshot is one little-endian file whose sections are already
-//! in the stores' in-memory layout, so loading is
+//! A format that decodes every store entry on load — allocate each
+//! surface string, hash it into a `HashMap`, copy every packed pair
+//! through a byte cursor — spends millions of allocations on a
+//! million-concept snapshot before the first query can be served. The
+//! arena format has no such step: the whole snapshot is one
+//! little-endian file whose sections are already in the stores'
+//! in-memory layout, so loading is
 //!
 //! 1. read the file once into an 8-byte-aligned, `Arc`-owned buffer;
 //! 2. verify the header and the whole-file word-folded FNV-1a checksum;
@@ -42,10 +42,10 @@
 //! ranking model as JSON.
 //!
 //! **Version policy.** `version` is bumped on any layout change; a
-//! loader rejects versions it does not know and the caller falls back
-//! to the legacy directory decode. New optional sections append to the
-//! table (readers ignore trailing entries they do not understand only
-//! after a version bump that documents them).
+//! loader rejects versions it does not know with a typed `Corrupt`
+//! error. New optional sections append to the table (readers ignore
+//! trailing entries they do not understand only after a version bump
+//! that documents them).
 //!
 //! Integrity is split in two: the checksum catches *corruption* (any
 //! bit flip anywhere fails the load with a typed error), structural
@@ -434,11 +434,6 @@ impl StrTable {
         None
     }
 
-    /// Strings in dense-index order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
-        (0..self.len() as u32).map(move |i| self.str_at(i))
-    }
-
     fn offsets(&self) -> &[u32] {
         &self.offsets
     }
@@ -715,7 +710,7 @@ mod tests {
         assert_eq!(t.lookup("gamma"), Some(2));
         assert_eq!(t.lookup("delta"), None);
         assert_eq!(t.str_at(1), "beta");
-        let all: Vec<&str> = t.iter().collect();
+        let all: Vec<&str> = (0..3).map(|i| t.str_at(i)).collect();
         assert_eq!(all, vec!["alpha", "beta", "gamma"]);
     }
 

@@ -7,7 +7,7 @@
 //! [`Event`]s, and a [`SnapshotProjector`] folds each batch of newly
 //! sealed segments into a [`DeltaSnapshot`] — the *exact additive
 //! change* to the per-surface state — then merges it into the serving
-//! artifact as a fresh epoch on the existing `SwapCell`/`ServiceHandle`
+//! artifact as a fresh epoch on the existing `ServiceHandle`
 //! publish path.
 //!
 //! ## Projection invariants (the parity argument)

@@ -30,10 +30,11 @@
 //! [`Snapshot`] artifact: [`snapshot::SnapshotBuilder`] is the single
 //! assembly path, [`persist`] (de)serializes snapshots, [`ranker`]
 //! serves thin stateless views over one, and [`swap`] hot-swaps
-//! rebuilt snapshots under live traffic without locks on the read
-//! path. [`delta`] closes the loop incrementally: sealed click-stream
-//! segments fold into [`delta::DeltaSnapshot`]s that merge into the
-//! next epoch without a full rebuild. [`partition`] takes the artifact
+//! rebuilt snapshots under live traffic and frees each one when its
+//! last reader finishes. [`delta`] closes the loop incrementally:
+//! sealed click-stream segments fold into [`delta::DeltaSnapshot`]s
+//! that merge into the next epoch without a full rebuild.
+//! [`partition`] takes the artifact
 //! multi-process: it slices a snapshot into TID-range shards (row
 //! slices that rank bit-identically to the full artifact) and defines
 //! the two-phase [`partition::EpochBarrier`] shard publishes go
@@ -66,9 +67,8 @@ pub use partition::{
     ShardBounds, ShardPartition,
 };
 pub use persist::{
-    load_ranker, load_service, load_service_with, load_snapshot, load_snapshot_with, save_ranker,
-    save_service, save_service_with, save_snapshot, save_snapshot_legacy,
-    save_snapshot_legacy_with, save_snapshot_with, PersistError, PersistFs, StdFs,
+    load_service, load_service_with, load_snapshot, load_snapshot_with, save_service,
+    save_service_with, save_snapshot, save_snapshot_with, PersistError, PersistFs, StdFs,
 };
 pub use propensity::{
     EmCell, EmConfig, EmFit, PropensityCodecError, PropensityEstimator, PropensityTable,
@@ -77,5 +77,5 @@ pub use propensity::{
 pub use ranker::{RankedConcept, RuntimeRanker};
 pub use relstore::PackedRelevanceStore;
 pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
-pub use swap::{ServiceHandle, SwapCell};
+pub use swap::ServiceHandle;
 pub use tid::{GlobalTidTable, TermId, MAX_TID};

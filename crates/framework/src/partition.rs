@@ -29,7 +29,7 @@
 //! statement. A publish to E+1 is a two-phase barrier driven by the
 //! router or an operator: *prepare* stages the shard's E+1 partition in
 //! an [`EpochBarrier`] (validated monotone against the serving epoch),
-//! then *commit* flips it into the shard's `SwapCell` atomically. The
+//! then *commit* flips it into the shard's `ServiceHandle` atomically. The
 //! barrier holds at most one staged snapshot; a re-prepare replaces it
 //! (idempotent retries), and a commit names the epoch it expects so a
 //! crashed or repeated driver cannot flip the wrong artifact.
@@ -272,7 +272,7 @@ impl std::error::Error for BarrierError {}
 
 /// The shard-side half of the two-phase publish: *prepare* stages the
 /// next epoch's snapshot without touching traffic, *commit* hands it
-/// back for the one atomic `SwapCell` flip. Holding the staged artifact
+/// back for the one atomic `ServiceHandle` flip. Holding the staged artifact
 /// here (instead of publishing on prepare) is what lets a driver bring
 /// every shard to "loaded and validated" before any shard changes what
 /// it serves — the window in which a scatter can observe mixed epochs

@@ -7,28 +7,11 @@
 //! written by the offline pipeline and loaded by the serving fleet.
 //!
 //! [`save_snapshot`]/[`load_snapshot`] implement that artifact as a
-//! directory whose primary content is a single **arena file**,
-//! `snapshot.ctxr` (see the `arena` module): one little-endian,
-//! checksummed, section-aligned image of all four stores that loads
-//! with *no per-entry decode* — the file is read once into an
-//! `Arc`-owned aligned buffer, validated, and the stores become typed
-//! views into it.
-//!
-//! The **legacy directory layout** is still understood as a fallback
-//! (and written by [`save_snapshot_legacy`] for compatibility tests):
-//!
-//! * `snapshot.json` — the manifest: format version + the snapshot's
-//!   epoch (restored on load, and reserved so later builds in the
-//!   loading process stay monotonic);
-//! * `interest.bin` — the packed interestingness vectors with their
-//!   field quantizers (little-endian binary, built with `bytes`);
-//! * `relevance.bin` — the packed `(TID, score)` store;
-//! * `tids.bin` — the Global TID Table (term list; ids are dense);
-//! * `model.json` — the linear ranking model (scaler + weights).
-//!
-//! A load prefers `snapshot.ctxr` when it exists and otherwise falls
-//! back to the legacy files, so directories written by either
-//! generation keep loading transparently.
+//! directory holding a single **arena file**, `snapshot.ctxr` (see the
+//! `arena` module): one little-endian, checksummed, section-aligned
+//! image of all four stores that loads with *no per-entry decode* — the
+//! file is read once into an `Arc`-owned aligned buffer, validated, and
+//! the stores become typed views into it.
 //!
 //! [`save_service`]/[`load_service`] additionally round-trip the online
 //! CTR adjuster (`online.json`), so a restarted serving process resumes
@@ -41,42 +24,23 @@
 //! [`PersistFs`] trait (default: [`StdFs`]), so a fault-injection
 //! harness (`ctxrank-faultsim`) can wrap every read and write. Saves
 //! are *atomic per file*: bytes land in `<name>.tmp` and are renamed
-//! into place only after a successful flush. For arena saves the
-//! rename of `snapshot.ctxr` **is** the commit point (and
-//! [`save_service`] orders it after `online.json`); for legacy saves
-//! the `snapshot.json` manifest is written last. A save that dies
-//! mid-way (torn write, full disk, injected fault) therefore never
-//! clobbers the previous good snapshot, and any corruption that does
-//! reach an arena file is caught by its whole-file checksum and
-//! surfaces as [`PersistError::Corrupt`].
+//! into place only after a successful flush. The rename of
+//! `snapshot.ctxr` **is** the commit point (and [`save_service`] orders
+//! it after `online.json`). A save that dies mid-way (torn write, full
+//! disk, injected fault) therefore never clobbers the previous good
+//! snapshot, and any corruption that does reach an arena file is caught
+//! by its whole-file checksum and surfaces as [`PersistError::Corrupt`].
 
-use crate::arena::{self, AlignedBuf, ByteSlab, StrTable, U32Slab};
+use crate::arena::{self, AlignedBuf};
 use crate::online::OnlineCtrAdjuster;
-use crate::packed::{FieldQuantizer, PackedInterestStore, BYTES_PER_CONCEPT};
-use crate::ranker::RuntimeRanker;
-use crate::relstore::PackedRelevanceStore;
 use crate::snapshot::{Snapshot, SnapshotBuilder};
 use crate::swap::ServiceHandle;
-use crate::tid::GlobalTidTable;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const MAGIC: u32 = 0x12DE_2009;
-/// Bumped whenever the directory layout changes shape. Version 2 added
-/// the `snapshot.json` manifest; files from version 1 (no manifest)
-/// still load, with a fresh epoch.
-const FORMAT_VERSION: u32 = 2;
-
 const F_ARENA: &str = arena::ARENA_FILE;
-const F_MANIFEST: &str = "snapshot.json";
-const F_INTEREST: &str = "interest.bin";
-const F_RELEVANCE: &str = "relevance.bin";
-const F_TIDS: &str = "tids.bin";
-const F_MODEL: &str = "model.json";
 const F_ONLINE: &str = "online.json";
 const F_PROPENSITY: &str = "propensity.bin";
 
@@ -124,22 +88,6 @@ fn corrupt(file: &'static str, detail: impl Into<String>) -> PersistError {
     }
 }
 
-fn check(buf: &Bytes, need: usize, file: &'static str, what: &str) -> Result<(), PersistError> {
-    if buf.remaining() < need {
-        return Err(corrupt(file, format!("truncated {what}")));
-    }
-    Ok(())
-}
-
-/// Pre-allocation cap for decoded collections: a corrupted count field
-/// must never turn into a multi-gigabyte `with_capacity` (which aborts
-/// the process instead of returning [`PersistError::Corrupt`]). Each
-/// decoded entry consumes at least `min_entry_bytes` from the buffer,
-/// so any honest count is bounded by what is actually left to read.
-fn cap_alloc(claimed: usize, buf: &Bytes, min_entry_bytes: usize) -> usize {
-    claimed.min(buf.remaining() / min_entry_bytes.max(1) + 1)
-}
-
 /// The byte-level filesystem operations the persist layer performs.
 ///
 /// Production uses [`StdFs`]. The fault-injection harness
@@ -156,8 +104,9 @@ pub trait PersistFs {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Create `path` and its parents.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Does `path` exist? (Never injected: existence probes decide
-    /// between layout generations, not data integrity.)
+    /// Does `path` exist? (Never injected: the only files probed are
+    /// the optional `online.json` and `propensity.bin` sidecars, and a
+    /// probe decides presence, not data integrity.)
     fn exists(&self, path: &Path) -> bool {
         path.exists()
     }
@@ -226,53 +175,10 @@ fn write_file_atomic(
     commit_file_tmp(fs, dir, file)
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct SnapshotManifest {
-    format: u32,
-    epoch: u64,
-}
-
-/// Write the four data files of `snapshot` into `dir` (atomically, via
-/// `<name>.tmp` + rename) **without** the manifest — the caller commits
-/// by writing the manifest last.
-fn save_data_files(
-    snapshot: &Snapshot,
-    dir: &Path,
-    fs: &dyn PersistFs,
-) -> Result<(), PersistError> {
-    fs.create_dir_all(dir)
-        .map_err(io_err("snapshot directory"))?;
-    write_file_atomic(fs, dir, F_INTEREST, &encode_interest(snapshot.interest()))?;
-    write_file_atomic(
-        fs,
-        dir,
-        F_RELEVANCE,
-        &encode_relevance(snapshot.relevance()),
-    )?;
-    write_file_atomic(fs, dir, F_TIDS, &encode_tids(snapshot.tids()))?;
-    let model =
-        serde_json::to_vec_pretty(snapshot.model()).map_err(|e| corrupt(F_MODEL, e.to_string()))?;
-    write_file_atomic(fs, dir, F_MODEL, &model)?;
-    Ok(())
-}
-
-/// The commit point of every save: the manifest goes in last, so a save
-/// that failed before this call leaves the previous manifest (and hence
-/// a loadable directory) intact.
-fn save_manifest(snapshot: &Snapshot, dir: &Path, fs: &dyn PersistFs) -> Result<(), PersistError> {
-    let manifest = SnapshotManifest {
-        format: FORMAT_VERSION,
-        epoch: snapshot.epoch(),
-    };
-    let manifest_json =
-        serde_json::to_vec_pretty(&manifest).map_err(|e| corrupt(F_MANIFEST, e.to_string()))?;
-    write_file_atomic(fs, dir, F_MANIFEST, &manifest_json)
-}
-
 /// Encode `snapshot` as one arena image.
 fn encode_arena(snapshot: &Snapshot) -> Result<Vec<u8>, PersistError> {
     let model =
-        serde_json::to_vec_pretty(snapshot.model()).map_err(|e| corrupt(F_MODEL, e.to_string()))?;
+        serde_json::to_vec_pretty(snapshot.model()).map_err(|e| corrupt(F_ARENA, e.to_string()))?;
     Ok(arena::encode(
         snapshot.interest(),
         snapshot.relevance(),
@@ -300,47 +206,20 @@ pub fn save_snapshot_with(
     write_file_atomic(fs, dir, F_ARENA, &encode_arena(snapshot)?)
 }
 
-/// Save `snapshot` in the legacy multi-file directory layout
-/// (`interest.bin` + `relevance.bin` + `tids.bin` + `model.json` +
-/// manifest). Kept for downgrade compatibility and for tests that pin
-/// the legacy decode path; new saves should use [`save_snapshot`].
-pub fn save_snapshot_legacy(snapshot: &Snapshot, dir: &Path) -> Result<(), PersistError> {
-    save_snapshot_legacy_with(snapshot, dir, &StdFs)
-}
-
-/// [`save_snapshot_legacy`] through an explicit [`PersistFs`]. Data
-/// files are written first, the manifest last.
-pub fn save_snapshot_legacy_with(
-    snapshot: &Snapshot,
-    dir: &Path,
-    fs: &dyn PersistFs,
-) -> Result<(), PersistError> {
-    save_data_files(snapshot, dir, fs)?;
-    save_manifest(snapshot, dir, fs)
-}
-
-/// Load a snapshot previously written by [`save_snapshot`] (preferring
-/// the `snapshot.ctxr` arena file) with transparent fallback to the
-/// legacy directory layout, including the pre-manifest generation
-/// (which gets a fresh epoch).
+/// Load a snapshot previously written by [`save_snapshot`]. A directory
+/// without `snapshot.ctxr` is a typed [`PersistError::Io`] naming that
+/// file.
 pub fn load_snapshot(dir: &Path) -> Result<Arc<Snapshot>, PersistError> {
     load_snapshot_with(dir, &StdFs)
 }
 
-/// [`load_snapshot`] through an explicit [`PersistFs`]. Every injected
-/// corruption surfaces as a typed [`PersistError`]; nothing panics.
+/// [`load_snapshot`] through an explicit [`PersistFs`]: read
+/// `snapshot.ctxr` once into an aligned buffer, validate it (header,
+/// whole-file checksum, section bounds, string-table invariants), and
+/// build the snapshot from views into that buffer — no per-entry
+/// decode. Every injected corruption surfaces as a typed
+/// [`PersistError`]; nothing panics.
 pub fn load_snapshot_with(dir: &Path, fs: &dyn PersistFs) -> Result<Arc<Snapshot>, PersistError> {
-    if fs.exists(&dir.join(F_ARENA)) {
-        return load_arena_snapshot(dir, fs);
-    }
-    load_legacy_snapshot(dir, fs)
-}
-
-/// The zero-copy load path: read `snapshot.ctxr` once into an aligned
-/// buffer, validate it (header, whole-file checksum, section bounds,
-/// string-table invariants), and build the snapshot from views into
-/// that buffer. No per-entry decode.
-fn load_arena_snapshot(dir: &Path, fs: &dyn PersistFs) -> Result<Arc<Snapshot>, PersistError> {
     let bytes = read_file(fs, dir, F_ARENA)?;
     let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
     drop(bytes);
@@ -355,45 +234,6 @@ fn load_arena_snapshot(dir: &Path, fs: &dyn PersistFs) -> Result<Arc<Snapshot>, 
         .epoch(decoded.epoch)
         .build()
         .map_err(|e| corrupt(F_ARENA, e.to_string()))
-}
-
-/// The legacy multi-file decode path.
-fn load_legacy_snapshot(dir: &Path, fs: &dyn PersistFs) -> Result<Arc<Snapshot>, PersistError> {
-    let interest = decode_interest(&mut Bytes::from(read_file(fs, dir, F_INTEREST)?))?;
-    let relevance = decode_relevance(&mut Bytes::from(read_file(fs, dir, F_RELEVANCE)?))?;
-    let tids = decode_tids(&mut Bytes::from(read_file(fs, dir, F_TIDS)?))?;
-    let model_bytes = read_file(fs, dir, F_MODEL)?;
-    let model: ctxrank_ltr::RankModel =
-        serde_json::from_slice(&model_bytes).map_err(|e| corrupt(F_MODEL, e.to_string()))?;
-
-    let mut builder = SnapshotBuilder::new()
-        .interest(interest)
-        .relevance(relevance)
-        .tids(tids)
-        .model(model);
-    if fs.exists(&dir.join(F_MANIFEST)) {
-        let bytes = read_file(fs, dir, F_MANIFEST)?;
-        let manifest: SnapshotManifest =
-            serde_json::from_slice(&bytes).map_err(|e| corrupt(F_MANIFEST, e.to_string()))?;
-        if manifest.format == 0 || manifest.format > FORMAT_VERSION {
-            return Err(corrupt(
-                F_MANIFEST,
-                format!("unsupported format version {}", manifest.format),
-            ));
-        }
-        builder = builder.epoch(manifest.epoch);
-    }
-    builder.build().map_err(|e| corrupt(F_MODEL, e.to_string()))
-}
-
-/// Save every component of `ranker`'s snapshot into `dir`.
-pub fn save_ranker(ranker: &RuntimeRanker, dir: &Path) -> Result<(), PersistError> {
-    save_snapshot(ranker.snapshot(), dir)
-}
-
-/// Load a ranker previously written by [`save_ranker`].
-pub fn load_ranker(dir: &Path) -> Result<RuntimeRanker, PersistError> {
-    Ok(RuntimeRanker::from_snapshot(load_snapshot(dir)?))
 }
 
 /// Save a serving handle: its current snapshot plus the accumulated
@@ -453,189 +293,13 @@ pub fn load_service_with(dir: &Path, fs: &dyn PersistFs) -> Result<ServiceHandle
     Ok(ServiceHandle::with_adjuster(snapshot, adjuster))
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut Bytes, file: &'static str) -> Result<String, PersistError> {
-    check(buf, 4, file, "string length")?;
-    let len = buf.get_u32_le() as usize;
-    check(buf, len, file, "string body")?;
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(file, "invalid utf-8"))
-}
-
-fn encode_interest(store: &PackedInterestStore) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(store.quantizers.len() as u32);
-    for q in store.quantizers.iter() {
-        buf.put_f64_le(q.lo);
-        buf.put_f64_le(q.hi);
-    }
-    buf.put_u32_le(store.names.len() as u32);
-    // Rows are already in dense slot order, so the file is reproducible.
-    for (slot, surface) in store.names.iter().enumerate() {
-        put_string(&mut buf, surface);
-        buf.put_u32_le(slot as u32);
-    }
-    buf.put_u64_le(store.data.len() as u64);
-    buf.put_slice(&store.data);
-    buf.to_vec()
-}
-
-fn decode_interest(buf: &mut Bytes) -> Result<PackedInterestStore, PersistError> {
-    const FILE: &str = F_INTEREST;
-    check(buf, 8, FILE, "header")?;
-    if buf.get_u32_le() != MAGIC {
-        return Err(corrupt(FILE, "bad magic"));
-    }
-    let nq = buf.get_u32_le() as usize;
-    if nq != ctxrank_features::InterestFeatures::DIM {
-        return Err(corrupt(FILE, "quantizer count mismatch"));
-    }
-    let mut qs = Vec::with_capacity(nq);
-    for _ in 0..nq {
-        check(buf, 16, FILE, "quantizer")?;
-        let lo = buf.get_f64_le();
-        let hi = buf.get_f64_le();
-        if !lo.is_finite() || !hi.is_finite() || hi < lo {
-            return Err(corrupt(FILE, "invalid quantizer range"));
-        }
-        qs.push(FieldQuantizer::new(lo, hi));
-    }
-    let quantizers: [FieldQuantizer; ctxrank_features::InterestFeatures::DIM] = qs
-        .try_into()
-        .map_err(|_| corrupt(FILE, "quantizer count mismatch"))?;
-    check(buf, 4, FILE, "index size")?;
-    let n = buf.get_u32_le() as usize;
-    // An entry is at least a 4-byte length + 4-byte slot; a corrupted
-    // count cannot force a giant allocation.
-    let mut surfaces = Vec::with_capacity(cap_alloc(n, buf, 8));
-    for i in 0..n {
-        let surface = get_string(buf, FILE)?;
-        check(buf, 4, FILE, "slot")?;
-        let slot = buf.get_u32_le();
-        // The writer always emits dense slots in order; anything else
-        // means the file was tampered with or corrupted.
-        if slot as usize != i {
-            return Err(corrupt(FILE, format!("non-dense slot {slot} at entry {i}")));
-        }
-        surfaces.push(surface);
-    }
-    check(buf, 8, FILE, "data length")?;
-    let len = buf.get_u64_le() as usize;
-    check(buf, len, FILE, "data")?;
-    if len != n * BYTES_PER_CONCEPT {
-        return Err(corrupt(FILE, format!("data is {len} B for {n} concepts")));
-    }
-    let data = buf.copy_to_bytes(len).to_vec();
-    Ok(PackedInterestStore {
-        names: StrTable::build(surfaces.iter().map(String::as_str)),
-        data: ByteSlab::Owned(data),
-        quantizers,
-    })
-}
-
-fn encode_relevance(store: &PackedRelevanceStore) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_f64_le(store.score_scale);
-    buf.put_u32_le(store.names.len() as u32);
-    // Rows are in build order, which is also ascending range order.
-    for (i, surface) in store.names.iter().enumerate() {
-        put_string(&mut buf, surface);
-        buf.put_u32_le(store.starts[i]);
-        buf.put_u32_le(store.starts[i + 1]);
-    }
-    buf.put_u64_le(store.pairs.len() as u64);
-    for &p in store.pairs.iter() {
-        buf.put_u32_le(p);
-    }
-    buf.to_vec()
-}
-
-fn decode_relevance(buf: &mut Bytes) -> Result<PackedRelevanceStore, PersistError> {
-    const FILE: &str = F_RELEVANCE;
-    check(buf, 16, FILE, "header")?;
-    if buf.get_u32_le() != MAGIC {
-        return Err(corrupt(FILE, "bad magic"));
-    }
-    let score_scale = buf.get_f64_le();
-    if !score_scale.is_finite() {
-        return Err(corrupt(FILE, "score scale is not finite"));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut surfaces = Vec::with_capacity(cap_alloc(n, buf, 12));
-    let mut starts = Vec::with_capacity(cap_alloc(n, buf, 12) + 1);
-    starts.push(0u32);
-    for _ in 0..n {
-        let surface = get_string(buf, FILE)?;
-        check(buf, 8, FILE, "range")?;
-        let start = buf.get_u32_le();
-        let end = buf.get_u32_le();
-        if end < start {
-            return Err(corrupt(FILE, "inverted range"));
-        }
-        // The writer emits contiguous ranges in order; a gap or overlap
-        // means the file was tampered with or corrupted.
-        if start != *starts.last().expect("non-empty") {
-            return Err(corrupt(FILE, "non-contiguous range"));
-        }
-        starts.push(end);
-        surfaces.push(surface);
-    }
-    check(buf, 8, FILE, "pair count")?;
-    let len = buf.get_u64_le() as usize;
-    // `len * 4` on a corrupted u64 could wrap past the `check` below;
-    // use the checked product so corruption stays a typed error.
-    let pair_bytes = len
-        .checked_mul(4)
-        .ok_or_else(|| corrupt(FILE, "pair count overflow"))?;
-    check(buf, pair_bytes, FILE, "pairs")?;
-    let mut pairs = Vec::with_capacity(len);
-    for _ in 0..len {
-        pairs.push(buf.get_u32_le());
-    }
-    if *starts.last().expect("non-empty") as usize != pairs.len() {
-        return Err(corrupt(FILE, "range out of bounds"));
-    }
-    Ok(PackedRelevanceStore {
-        names: StrTable::build(surfaces.iter().map(String::as_str)),
-        starts: U32Slab::Owned(starts),
-        pairs: U32Slab::Owned(pairs),
-        score_scale,
-    })
-}
-
-fn encode_tids(table: &GlobalTidTable) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(table.len() as u32);
-    for term in table.iter_terms() {
-        put_string(&mut buf, term);
-    }
-    buf.to_vec()
-}
-
-fn decode_tids(buf: &mut Bytes) -> Result<GlobalTidTable, PersistError> {
-    const FILE: &str = F_TIDS;
-    check(buf, 8, FILE, "header")?;
-    if buf.get_u32_le() != MAGIC {
-        return Err(corrupt(FILE, "bad magic"));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut terms = Vec::with_capacity(cap_alloc(n, buf, 4));
-    for _ in 0..n {
-        terms.push(get_string(buf, FILE)?);
-    }
-    Ok(GlobalTidTable::from_terms(terms))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::PackedInterestStore;
+    use crate::ranker::RuntimeRanker;
+    use crate::relstore::PackedRelevanceStore;
+    use crate::tid::GlobalTidTable;
     use ctxrank_features::{InterestFeatures, RelevantTerms};
     use ctxrank_ltr::{train, RankGroup, SvmConfig};
 
@@ -685,23 +349,20 @@ mod tests {
     fn save_load_roundtrip_preserves_scores() {
         let ranker = sample_ranker();
         let dir = std::env::temp_dir().join(format!("ctxrank_persist_{}", std::process::id()));
-        save_ranker(&ranker, &dir).expect("save");
-        let loaded = load_ranker(&dir).expect("load");
+        save_snapshot(ranker.snapshot(), &dir).expect("save");
+        let loaded = RuntimeRanker::from_snapshot(load_snapshot(&dir).expect("load"));
 
         let candidates: Vec<String> = (0..12).map(|i| format!("concept {i}")).collect();
         let text = "kw1 kw5 kw9 filler words here";
         let a = ranker.rank(text, &candidates);
         let b = loaded.rank(text, &candidates);
         assert_eq!(a.len(), b.len());
+        // The reference is the in-memory snapshot the file was saved
+        // from: the arena stores its bytes, so the match is bit-exact.
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.surface, y.surface);
-            assert!(
-                (x.score - y.score).abs() < 1e-12,
-                "{} vs {}",
-                x.score,
-                y.score
-            );
-            assert!((x.relevance - y.relevance).abs() < 1e-12);
+            assert_eq!(x.score, y.score);
+            assert_eq!(x.relevance, y.relevance);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -711,92 +372,23 @@ mod tests {
         let ranker = sample_ranker();
         let dir =
             std::env::temp_dir().join(format!("ctxrank_persist_epoch_{}", std::process::id()));
-        save_ranker(&ranker, &dir).expect("save");
-        let loaded = load_ranker(&dir).expect("load");
+        save_snapshot(ranker.snapshot(), &dir).expect("save");
+        let loaded = load_snapshot(&dir).expect("load");
         assert_eq!(loaded.epoch(), ranker.epoch());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn arena_save_writes_single_file() {
+    fn save_writes_a_single_file() {
         let ranker = sample_ranker();
         let dir =
             std::env::temp_dir().join(format!("ctxrank_persist_arena_{}", std::process::id()));
-        save_ranker(&ranker, &dir).expect("save");
-        assert!(dir.join(F_ARENA).exists(), "arena file written");
-        assert!(!dir.join(F_INTEREST).exists(), "no legacy data files");
-        assert!(!dir.join(F_MANIFEST).exists(), "no legacy manifest");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_save_roundtrips_and_matches_arena() {
-        let ranker = sample_ranker();
-        let dir = std::env::temp_dir().join(format!("ctxrank_persist_both_{}", std::process::id()));
-        save_snapshot_legacy(ranker.snapshot(), &dir).expect("legacy save");
-        assert!(!dir.join(F_ARENA).exists());
-        let legacy = load_ranker(&dir).expect("legacy load");
-        save_ranker(&ranker, &dir).expect("arena save");
-        let arena = load_ranker(&dir).expect("arena load");
-
-        let candidates: Vec<String> = (0..12).map(|i| format!("concept {i}")).collect();
-        let text = "kw1 kw5 kw9 filler words here";
-        let a = legacy.rank(text, &candidates);
-        let b = arena.rank(text, &candidates);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.surface, y.surface);
-            assert_eq!(x.score, y.score, "legacy and arena loads must agree");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_directory_without_manifest_loads() {
-        let ranker = sample_ranker();
-        let dir =
-            std::env::temp_dir().join(format!("ctxrank_persist_legacy_{}", std::process::id()));
-        save_snapshot_legacy(ranker.snapshot(), &dir).expect("save");
-        std::fs::remove_file(dir.join("snapshot.json")).expect("remove manifest");
-        let loaded = load_ranker(&dir).expect("legacy load");
-        // A legacy artifact has no recorded epoch; it gets a fresh one.
-        assert!(loaded.epoch() > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_magic_rejected() {
-        let ranker = sample_ranker();
-        let dir = std::env::temp_dir().join(format!("ctxrank_persist_bad_{}", std::process::id()));
-        save_snapshot_legacy(ranker.snapshot(), &dir).expect("save");
-        // Flip the magic of relevance.bin.
-        let path = dir.join("relevance.bin");
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[0] ^= 0xFF;
-        std::fs::write(&path, bytes).expect("write");
-        match load_ranker(&dir) {
-            Err(PersistError::Corrupt { file, .. }) => assert_eq!(file, "relevance.bin"),
-            other => panic!("expected Corrupt error, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn truncated_file_rejected() {
-        let ranker = sample_ranker();
-        let dir =
-            std::env::temp_dir().join(format!("ctxrank_persist_trunc_{}", std::process::id()));
-        save_snapshot_legacy(ranker.snapshot(), &dir).expect("save");
-        let path = dir.join("interest.bin");
-        let bytes = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("write");
-        match load_ranker(&dir) {
-            Err(PersistError::Corrupt { file, detail }) => {
-                assert_eq!(file, "interest.bin");
-                assert!(detail.contains("truncated"), "{detail}");
-            }
-            other => panic!("expected Corrupt error, got {other:?}"),
-        }
+        save_snapshot(ranker.snapshot(), &dir).expect("save");
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(files, [F_ARENA]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -804,7 +396,7 @@ mod tests {
     fn arena_bit_flip_rejected_everywhere() {
         let ranker = sample_ranker();
         let dir = std::env::temp_dir().join(format!("ctxrank_persist_flip_{}", std::process::id()));
-        save_ranker(&ranker, &dir).expect("save");
+        save_snapshot(ranker.snapshot(), &dir).expect("save");
         let path = dir.join(F_ARENA);
         let good = std::fs::read(&path).expect("read");
         // Flip one bit at positions spread across the whole file: the
@@ -814,7 +406,7 @@ mod tests {
             let mut bad = good.clone();
             bad[byte] ^= 0x10;
             std::fs::write(&path, &bad).expect("write");
-            match load_ranker(&dir) {
+            match load_snapshot(&dir) {
                 Err(PersistError::Corrupt { file, .. }) => assert_eq!(file, F_ARENA),
                 other => panic!("bit flip at byte {byte} not rejected: {other:?}"),
             }
@@ -827,12 +419,12 @@ mod tests {
         let ranker = sample_ranker();
         let dir =
             std::env::temp_dir().join(format!("ctxrank_persist_atrunc_{}", std::process::id()));
-        save_ranker(&ranker, &dir).expect("save");
+        save_snapshot(ranker.snapshot(), &dir).expect("save");
         let path = dir.join(F_ARENA);
         let good = std::fs::read(&path).expect("read");
         for keep in [0, 7, 47, 48, good.len() / 2, good.len() - 1] {
             std::fs::write(&path, &good[..keep]).expect("write");
-            match load_ranker(&dir) {
+            match load_snapshot(&dir) {
                 Err(PersistError::Corrupt { file, .. }) => assert_eq!(file, F_ARENA),
                 other => panic!("truncation to {keep} B not rejected: {other:?}"),
             }
@@ -842,10 +434,33 @@ mod tests {
 
     #[test]
     fn missing_directory_errors() {
-        match load_ranker(Path::new("/nonexistent/ctxrank")) {
-            Err(PersistError::Io { file, .. }) => assert_eq!(file, "interest.bin"),
+        match load_snapshot(Path::new("/nonexistent/ctxrank")) {
+            Err(PersistError::Io { file, .. }) => assert_eq!(file, F_ARENA),
             other => panic!("expected Io error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn directory_without_arena_file_is_a_typed_io_error() {
+        let dir =
+            std::env::temp_dir().join(format!("ctxrank_persist_noarena_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        // What a pre-arena writer left behind: never decoded, never a panic.
+        for file in ["interest.bin", "relevance.bin", "tids.bin", "model.json"] {
+            std::fs::write(dir.join(file), [0x09, 0x20, 0xDE, 0x12, 0, 0, 0, 0]).expect("write");
+        }
+        match load_snapshot(&dir) {
+            Err(PersistError::Io { file, source }) => {
+                assert_eq!(file, F_ARENA);
+                assert_eq!(source.kind(), io::ErrorKind::NotFound);
+            }
+            other => panic!("expected Io error, got {other:?}"),
+        }
+        assert!(matches!(
+            load_service(&dir),
+            Err(PersistError::Io { file: F_ARENA, .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

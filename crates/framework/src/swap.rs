@@ -1,129 +1,40 @@
-//! Lock-free snapshot hot-swap — the serving tier's publish protocol.
+//! Snapshot hot-swap — the serving tier's publish protocol.
 //!
-//! The offline pipeline periodically produces a fresh [`Snapshot`]; the
-//! serving tier must start using it **without pausing traffic**. The
-//! protocol:
+//! The offline pipeline (and, between rebuilds, the delta projector)
+//! produces a fresh [`Snapshot`]; the serving tier must start using it
+//! **without pausing traffic**. [`ServiceHandle`] holds the live
+//! snapshot as a lock-guarded `Arc`:
 //!
-//! * Readers call [`SwapCell::load`] — one atomic pointer load plus one
-//!   refcount increment, no locks, no waiting — and then finish their
-//!   entire ranking on the `Arc<Snapshot>` they got back. An in-flight
-//!   request never observes a mix of two snapshots.
-//! * A publisher calls [`SwapCell::swap`] (or
-//!   [`ServiceHandle::publish`]) to install the rebuilt snapshot. The
-//!   store is a single atomic pointer write, so there is no window in
-//!   which readers can observe a torn or absent snapshot.
+//! * Readers ([`ServiceHandle::current`], [`ServiceHandle::ranker`])
+//!   hold the read lock for one `Arc` clone and then finish their
+//!   entire ranking on that clone. An in-flight request never observes
+//!   a mix of two snapshots.
+//! * [`ServiceHandle::publish`] holds the write lock for one
+//!   pointer-sized replace, so there is no window in which readers can
+//!   observe a torn or absent snapshot.
 //! * Epochs are strictly increasing (see [`crate::snapshot`]), so a
 //!   reader comparing epochs across successive loads sees a monotone
-//!   sequence.
+//!   sequence. The current epoch is mirrored in an atomic, so
+//!   per-request epoch probes never touch the lock.
 //!
-//! **Reclamation.** A hand-rolled `ArcSwap` needs an answer to the
-//! classic race: a reader loads the raw pointer, is preempted, the
-//! publisher swaps and drops the last `Arc`, and the reader's deferred
-//! refcount increment now touches freed memory. We close it the simple
-//! way: the cell retains one strong reference to **every snapshot it
-//! has ever published** (the current one plus a retired list), so the
-//! pointee outlives the cell and the increment is always on a live
-//! allocation. Retired snapshots are freed when the cell drops. This
-//! trades memory for wait-freedom on the read path, and the trade is
-//! deliberately cheap: publishes happen at rebuild cadence (minutes to
-//! hours), so the retired list stays tiny relative to one snapshot's
-//! stores; re-publishing an already-retained `Arc` (as the swap bench
-//! does continuously) costs one `Arc` clone per publish, not a store
-//! copy.
+//! **Reclamation.** The handle owns one strong reference: to the
+//! current snapshot. A replaced snapshot is kept alive only by the
+//! requests still pinned to it and is freed when the last of them
+//! finishes. Delta publishes land tens of times a second and each
+//! snapshot is megabytes, so a replaced snapshot that outlived its
+//! readers would be unbounded memory growth.
 
 use crate::online::OnlineCtrAdjuster;
 use crate::ranker::{RankedConcept, RuntimeRanker};
 use crate::snapshot::Snapshot;
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An `ArcSwap`-style cell over [`Arc<Snapshot>`]: wait-free `load`,
-/// atomic `swap`, epoch-retirement reclamation (see module docs).
-pub struct SwapCell {
-    /// Raw pointer to the current snapshot. Always points into an
-    /// allocation kept alive by `current`/`retired` below.
-    ptr: AtomicPtr<Snapshot>,
-    /// The current snapshot's epoch, mirrored out of the snapshot so
-    /// epoch-keyed callers (the serve-layer result cache probes it on
-    /// every request) read it with one atomic load instead of a full
-    /// `load()` refcount round-trip. Monotone: updated with `fetch_max`
-    /// under the publisher lock.
-    epoch: AtomicU64,
-    /// Publisher-side owner of the current snapshot. Readers never
-    /// touch this lock.
-    current: Mutex<Arc<Snapshot>>,
-    /// Strong references to every previously published snapshot —
-    /// the grace period is the cell's lifetime.
-    retired: Mutex<Vec<Arc<Snapshot>>>,
-}
-
-impl SwapCell {
-    /// A cell serving `initial`.
-    pub fn new(initial: Arc<Snapshot>) -> Self {
-        let ptr = AtomicPtr::new(Arc::as_ptr(&initial) as *mut Snapshot);
-        let epoch = AtomicU64::new(initial.epoch());
-        Self {
-            ptr,
-            epoch,
-            current: Mutex::new(initial),
-            retired: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The current snapshot. Wait-free: one `Acquire` pointer load and
-    /// one refcount increment; never blocks on a publisher.
-    pub fn load(&self) -> Arc<Snapshot> {
-        let raw = self.ptr.load(Ordering::Acquire) as *const Snapshot;
-        // SAFETY: `raw` was stored from an `Arc` that `current` (and,
-        // after any later swap, `retired`) keeps alive for the life of
-        // `self`, so the allocation is live and its strong count is at
-        // least one for the whole call; the increment hands that
-        // guarantee to the returned `Arc`.
-        unsafe {
-            Arc::increment_strong_count(raw);
-            Arc::from_raw(raw)
-        }
-    }
-
-    /// Install `next` as the current snapshot, returning the snapshot
-    /// it replaced. Readers that already loaded the old snapshot finish
-    /// on it; new loads observe `next` after this returns (and possibly
-    /// during it — the pointer store is the linearization point).
-    pub fn swap(&self, next: Arc<Snapshot>) -> Arc<Snapshot> {
-        let mut current = self.current.lock();
-        let prev = std::mem::replace(&mut *current, next);
-        // Order matters: `*current` owns `next` before the pointer
-        // becomes visible, and `prev` is retired before its pointer can
-        // stop being loadable — so every pointer value ever stored is
-        // backed by a strong reference held by this cell.
-        self.retired.lock().push(prev.clone());
-        self.ptr
-            .store(Arc::as_ptr(&current) as *mut Snapshot, Ordering::Release);
-        // Epochs are process-wide monotone, but `fetch_max` keeps the
-        // mirror safe even against a hostile out-of-order publish.
-        self.epoch.fetch_max(current.epoch(), Ordering::Release);
-        prev
-    }
-
-    /// The current snapshot's epoch — one atomic load, no refcount
-    /// traffic. May trail [`SwapCell::load`] by the width of a publish
-    /// in flight; never moves backwards.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Number of retired (previously published) snapshots retained for
-    /// reader safety.
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().len()
-    }
-}
-
-/// The serving tier's front door: a [`SwapCell`] holding the live
-/// [`Snapshot`] plus the online CTR state that must *survive* snapshot
-/// swaps (§VIII adaptation is feedback about the world, not about one
-/// artifact, so a rebuild must not amnesia it).
+/// The serving tier's front door: the live [`Snapshot`] plus the online
+/// CTR state that must *survive* snapshot swaps (§VIII adaptation is
+/// feedback about the world, not about one artifact, so a rebuild must
+/// not amnesia it).
 ///
 /// ```no_run
 /// # use ctxrank_framework::*;
@@ -136,7 +47,14 @@ impl SwapCell {
 /// handle.publish(rebuild());
 /// ```
 pub struct ServiceHandle {
-    cell: SwapCell,
+    /// The snapshot being served. The lock is held only for an `Arc`
+    /// clone (readers) or replace (publisher), never while ranking.
+    current: RwLock<Arc<Snapshot>>,
+    /// The current snapshot's epoch, mirrored out of the snapshot so
+    /// epoch-keyed callers (the serve-layer result cache probes it on
+    /// every request) read it with one atomic load. Monotone: only
+    /// ever updated with `fetch_max`.
+    epoch: AtomicU64,
     /// Online CTR adjustments, owned by the handle (not any snapshot)
     /// so `publish` carries them across artifact generations.
     adjuster: RwLock<OnlineCtrAdjuster>,
@@ -152,29 +70,31 @@ impl ServiceHandle {
     /// state (e.g. from [`crate::persist::load_service`]).
     pub fn with_adjuster(initial: Arc<Snapshot>, adjuster: OnlineCtrAdjuster) -> Self {
         Self {
-            cell: SwapCell::new(initial),
+            epoch: AtomicU64::new(initial.epoch()),
+            current: RwLock::new(initial),
             adjuster: RwLock::new(adjuster),
         }
     }
 
-    /// The snapshot currently being served (wait-free).
+    /// The snapshot currently being served.
     pub fn current(&self) -> Arc<Snapshot> {
-        self.cell.load()
+        Arc::clone(&self.current.read())
     }
 
-    /// The current snapshot's epoch. Wait-free and allocation-free:
-    /// reads the cell's mirrored epoch, so per-request probes (the
-    /// serve-layer cache keys every lookup by this) cost one atomic
-    /// load.
+    /// The current snapshot's epoch — one atomic load, no lock and no
+    /// refcount traffic, so per-request probes (the serve-layer cache
+    /// keys every lookup by this) stay cheap. May trail
+    /// [`Self::current`] by the width of a publish in flight; never
+    /// moves backwards.
     pub fn epoch(&self) -> u64 {
-        self.cell.epoch()
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// A [`RuntimeRanker`] view pinned to the current snapshot. All
     /// calls through the returned value use that one snapshot, however
     /// many publishes happen meanwhile.
     pub fn ranker(&self) -> RuntimeRanker {
-        RuntimeRanker::from_snapshot(self.cell.load())
+        RuntimeRanker::from_snapshot(self.current())
     }
 
     /// Install a rebuilt snapshot mid-traffic; returns its epoch.
@@ -182,7 +102,14 @@ impl ServiceHandle {
     /// the online adjuster (CTR feedback) carries over untouched.
     pub fn publish(&self, next: Arc<Snapshot>) -> u64 {
         let epoch = next.epoch();
-        self.cell.swap(next);
+        let replaced = std::mem::replace(&mut *self.current.write(), next);
+        // Epochs are process-wide monotone, but `fetch_max` keeps the
+        // mirror safe even against a hostile out-of-order publish.
+        self.epoch.fetch_max(epoch, Ordering::Release);
+        // Dropped after the write lock is released: if no request is
+        // pinned to it this frees the whole snapshot, and readers
+        // should not wait on that.
+        drop(replaced);
         epoch
     }
 
@@ -272,19 +199,12 @@ impl ServiceHandle {
         drop(adjuster);
         (ranker.into_snapshot(), results)
     }
-
-    /// Snapshots retained for reader safety (diagnostics; see the
-    /// module-level reclamation notes).
-    pub fn retired_len(&self) -> usize {
-        self.cell.retired_len()
-    }
 }
 
 impl std::fmt::Debug for ServiceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceHandle")
             .field("epoch", &self.epoch())
-            .field("retired", &self.retired_len())
             .finish_non_exhaustive()
     }
 }
@@ -334,17 +254,41 @@ mod tests {
     }
 
     #[test]
-    fn load_returns_published_snapshot() {
+    fn current_returns_published_snapshot() {
         let a = snapshot(1.0);
-        let cell = SwapCell::new(a.clone());
-        assert!(Arc::ptr_eq(&cell.load(), &a));
-        assert_eq!(cell.epoch(), a.epoch());
+        let handle = ServiceHandle::new(a.clone());
+        assert!(Arc::ptr_eq(&handle.current(), &a));
+        assert_eq!(handle.epoch(), a.epoch());
         let b = snapshot(2.0);
-        let prev = cell.swap(b.clone());
-        assert!(Arc::ptr_eq(&prev, &a));
-        assert!(Arc::ptr_eq(&cell.load(), &b));
-        assert_eq!(cell.epoch(), b.epoch());
-        assert_eq!(cell.retired_len(), 1);
+        assert_eq!(handle.publish(b.clone()), b.epoch());
+        assert!(Arc::ptr_eq(&handle.current(), &b));
+        assert_eq!(handle.epoch(), b.epoch());
+    }
+
+    #[test]
+    fn replaced_snapshots_are_freed_once_unpinned() {
+        let handle = ServiceHandle::new(snapshot(1.0));
+        let mut published = vec![Arc::downgrade(&handle.current())];
+        let mut publish_50 = || {
+            for _ in 0..50 {
+                let next = snapshot(2.0);
+                published.push(Arc::downgrade(&next));
+                handle.publish(next);
+            }
+        };
+        publish_50();
+        // One in-flight view, held across the remaining publishes.
+        let view = handle.ranker();
+        publish_50();
+
+        let (pinned, last) = (50, 100);
+        for (i, weak) in published.iter().enumerate() {
+            let alive = weak.strong_count() > 0;
+            assert_eq!(alive, i == pinned || i == last, "snapshot {i}");
+        }
+        drop(view);
+        assert_eq!(published[pinned].strong_count(), 0);
+        assert_eq!(published[last].strong_count(), 1, "the handle's own");
     }
 
     #[test]
@@ -433,6 +377,5 @@ mod tests {
             assert_eq!(handle.epoch(), e);
             last = e;
         }
-        assert_eq!(handle.retired_len(), 4);
     }
 }

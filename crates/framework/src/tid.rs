@@ -57,19 +57,6 @@ impl GlobalTidTable {
         Self::default()
     }
 
-    /// Rehydrate a building table from dense-ordered terms (legacy
-    /// directory decode).
-    pub(crate) fn from_terms(terms: Vec<String>) -> Self {
-        let ids = terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), TermId(i as u32)))
-            .collect();
-        Self {
-            repr: Repr::Building { ids, terms },
-        }
-    }
-
     /// Wrap an arena-backed string table (ids are the dense indices).
     pub(crate) fn from_frozen(table: StrTable) -> Self {
         Self {
@@ -128,14 +115,6 @@ impl GlobalTidTable {
                     None
                 }
             }
-        }
-    }
-
-    /// Terms in dense id order.
-    pub(crate) fn iter_terms(&self) -> Box<dyn Iterator<Item = &str> + '_> {
-        match &self.repr {
-            Repr::Building { terms, .. } => Box::new(terms.iter().map(String::as_str)),
-            Repr::Frozen(t) => Box::new(t.iter()),
         }
     }
 

@@ -140,8 +140,5 @@ fn readers_stay_consistent_while_publisher_swaps() {
         }
     });
 
-    // All publishes retired their predecessor; final epoch is the last
-    // snapshot's.
-    assert_eq!(handle.retired_len(), PUBLISHES - 1);
     assert_eq!(handle.epoch(), snapshots.last().unwrap().epoch());
 }

@@ -35,7 +35,7 @@ pub use postings::{
     decode_all, decode_block, encode_blocks, read_varint, write_varint, DocId, PostingRef,
     Postings, SkipEntry, BLOCK,
 };
-pub use search::{merge_top_k, SearchAccumulator, SearchHit};
+pub use search::SearchHit;
 pub use snippet::{snippet, DEFAULT_CONTEXT_TOKENS};
 pub use tfidf::{tf_idf_weight, TermVector};
 
@@ -158,12 +158,6 @@ impl Index {
     #[inline]
     pub fn term_id(&self, term: &str) -> Option<TermId> {
         self.interner.get(term)
-    }
-
-    /// Size of the interned vocabulary; term ids are dense in
-    /// `0..num_terms`, so this bounds a term-range partition.
-    pub fn num_terms(&self) -> usize {
-        self.interner.len()
     }
 
     /// Number of documents containing `term` (document frequency).

@@ -63,93 +63,32 @@ fn top_k(mut hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
     hits
 }
 
-/// Gather-side merge for partitioned retrieval: the best `k` hits of
-/// several per-partition top-k lists. When the partitions score
-/// *disjoint* document/item sets — each item wholly owned by one
-/// partition, the shape `partition_snapshot` guarantees for concepts —
-/// merging per-partition top-k lists is exactly the global top-k: an
-/// item in the global answer is in its owner's local top-k (its local
-/// rank can only be better), so no candidate is lost to truncation.
-pub fn merge_top_k(parts: impl IntoIterator<Item = Vec<SearchHit>>, k: usize) -> Vec<SearchHit> {
-    let mut all: Vec<SearchHit> = Vec::new();
-    for part in parts {
-        all.extend(part);
-    }
-    top_k(all, k)
-}
-
-/// Dense, mergeable partial-score accumulator — the per-shard half of
-/// the accumulate-then-top-k search. One partition folds only *its*
-/// query terms' postings in ([`Index::accumulate_term_range`]); the
-/// gatherer sums accumulators document-wise and resolves top-k once.
-///
-/// Merging sums per-document scores in merge-call order, which is not
-/// the same float-addition order as a single-process pass over the
-/// query — partial sums can differ in the last ulp when a document
-/// matches terms in more than one partition. This is inherent to
-/// splitting a sum; the serving-layer concept partition sidesteps it by
-/// making ownership whole-candidate (no score is ever split), which is
-/// what makes the router's merged `/rank` bit-identical.
-#[derive(Debug, Clone)]
-pub struct SearchAccumulator {
-    /// Per-document `(summed score, earliest match position)`.
-    acc: Vec<(f64, u32)>,
-    seen: Vec<bool>,
-    touched: Vec<DocId>,
-}
-
-impl SearchAccumulator {
-    /// An empty accumulator over a corpus of `num_docs` documents.
-    pub fn new(num_docs: usize) -> Self {
-        Self {
-            acc: vec![(0.0, u32::MAX); num_docs],
-            seen: vec![false; num_docs],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Fold one scored posting in.
-    fn add(&mut self, doc: DocId, weight: f64, first_pos: u32) {
-        let i = doc.0 as usize;
-        if !self.seen[i] {
-            self.seen[i] = true;
-            self.touched.push(doc);
-        }
-        let entry = &mut self.acc[i];
-        entry.0 += weight;
-        entry.1 = entry.1.min(first_pos);
-    }
-
-    /// Merge another partition's partial scores in: per-document scores
-    /// sum, snippet anchors take the earliest match.
-    pub fn merge(&mut self, other: &SearchAccumulator) {
-        assert_eq!(
-            self.acc.len(),
-            other.acc.len(),
-            "accumulators must cover the same corpus"
-        );
-        for &doc in &other.touched {
-            let i = doc.0 as usize;
-            if !self.seen[i] {
-                self.seen[i] = true;
-                self.touched.push(doc);
+impl Index {
+    /// Disjunctive ("regular") tf·idf search: documents matching any query
+    /// term, ranked by summed tf·idf, top `k` returned. Ties are broken by
+    /// document id for determinism.
+    pub fn search(&self, terms: &[String], k: usize) -> Vec<SearchHit> {
+        // Dense per-document accumulator: postings carry dense doc ids,
+        // so scoring indexes a flat array instead of hashing each hit.
+        let mut acc: Vec<(f64, u32)> = vec![(0.0, u32::MAX); self.num_docs()];
+        let mut seen: Vec<bool> = vec![false; self.num_docs()];
+        let mut touched: Vec<DocId> = Vec::new();
+        for term in terms {
+            if let Some(id) = self.term_id(term) {
+                let idf = self.idf_id(id);
+                for p in self.postings_id(id).iter() {
+                    let i = p.doc.0 as usize;
+                    if !seen[i] {
+                        seen[i] = true;
+                        touched.push(p.doc);
+                    }
+                    let entry = &mut acc[i];
+                    entry.0 += tf_idf_weight(p.positions.len(), idf);
+                    entry.1 = entry.1.min(p.positions[0]);
+                }
             }
-            let (score, first) = other.acc[i];
-            self.acc[i].0 += score;
-            self.acc[i].1 = self.acc[i].1.min(first);
         }
-    }
-
-    /// Documents with a nonzero partial score so far.
-    pub fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Resolve the accumulated scores to the best `k` hits.
-    pub fn into_top_k(self, k: usize) -> Vec<SearchHit> {
-        let acc = self.acc;
-        let hits: Vec<SearchHit> = self
-            .touched
+        let hits: Vec<SearchHit> = touched
             .into_iter()
             .map(|doc| {
                 let (score, first_match) = acc[doc.0 as usize];
@@ -161,42 +100,6 @@ impl SearchAccumulator {
             })
             .collect();
         top_k(hits, k)
-    }
-}
-
-impl Index {
-    /// Disjunctive ("regular") tf·idf search: documents matching any query
-    /// term, ranked by summed tf·idf, top `k` returned. Ties are broken by
-    /// document id for determinism.
-    pub fn search(&self, terms: &[String], k: usize) -> Vec<SearchHit> {
-        // The single-partition case of accumulate-then-top-k: same
-        // posting fold, same query-order float summation as ever.
-        self.accumulate_term_range(terms, 0, u32::MAX).into_top_k(k)
-    }
-
-    /// Partial disjunctive scores from only the query terms whose
-    /// interned id falls in `lo..hi` — the index-side analogue of the
-    /// snapshot's TID-range sharding. Postings of out-of-range terms
-    /// are never decoded, so a partition does work proportional to the
-    /// slice it owns. Merge a disjoint cover of the id space with
-    /// [`SearchAccumulator::merge`] and resolve once to reproduce
-    /// [`Index::search`]'s answer.
-    pub fn accumulate_term_range(&self, terms: &[String], lo: u32, hi: u32) -> SearchAccumulator {
-        // Dense per-document accumulator: postings carry dense doc ids,
-        // so scoring indexes a flat array instead of hashing each hit.
-        let mut acc = SearchAccumulator::new(self.num_docs());
-        for term in terms {
-            if let Some(id) = self.term_id(term) {
-                if id.0 < lo || id.0 >= hi {
-                    continue;
-                }
-                let idf = self.idf_id(id);
-                for p in self.postings_id(id).iter() {
-                    acc.add(p.doc, tf_idf_weight(p.positions.len(), idf), p.positions[0]);
-                }
-            }
-        }
-        acc
     }
 
     /// Number of documents that match *all* query terms (conjunctive
@@ -455,83 +358,6 @@ mod tests {
             let topk = idx.search(&q, k);
             assert_eq!(topk.len(), full.len().min(k));
             assert_eq!(&full[..topk.len()], &topk[..], "k={k}");
-        }
-    }
-
-    #[test]
-    fn term_range_cover_merges_back_to_full_search() {
-        let idx = build(&[
-            "apple banana cherry date",
-            "apple apple banana",
-            "cherry cherry cherry",
-            "banana date elderberry",
-            "fig grape apple",
-            "date fig banana cherry",
-        ]);
-        let q = terms("apple banana cherry date fig grape absent");
-        let full = idx.search(&q, usize::MAX);
-        let n = idx.num_terms() as u32;
-        for slices in [1u32, 2, 3, 5, n + 3] {
-            let width = n.div_ceil(slices).max(1);
-            let mut merged = super::SearchAccumulator::new(idx.num_docs());
-            for s in 0..slices {
-                let lo = s * width;
-                merged.merge(&idx.accumulate_term_range(&q, lo, lo.saturating_add(width)));
-            }
-            let got = merged.into_top_k(usize::MAX);
-            assert_eq!(got.len(), full.len(), "{slices} slices");
-            // Same hit set and ordering; scores equal up to the float
-            // summation-order caveat on `SearchAccumulator::merge`.
-            for (g, f) in got.iter().zip(&full) {
-                assert_eq!(g.doc, f.doc, "{slices} slices");
-                assert_eq!(g.first_match, f.first_match, "{slices} slices");
-                assert!((g.score - f.score).abs() < 1e-12, "{slices} slices");
-            }
-        }
-    }
-
-    #[test]
-    fn single_term_partition_is_bit_identical() {
-        // With one query term, no document's score is split across
-        // partitions, so the merge is exact — the analogue of the
-        // router's whole-candidate concept ownership.
-        let idx = build(&["solo solo here", "solo once", "unrelated text", "solo solo"]);
-        let q = terms("solo");
-        let full = idx.search(&q, usize::MAX);
-        let n = idx.num_terms() as u32;
-        let mut merged = super::SearchAccumulator::new(idx.num_docs());
-        for lo in 0..n {
-            merged.merge(&idx.accumulate_term_range(&q, lo, lo + 1));
-        }
-        assert_eq!(merged.into_top_k(usize::MAX), full);
-    }
-
-    #[test]
-    fn merge_top_k_of_disjoint_partitions_equals_global_top_k() {
-        let idx = build(&[
-            "apple banana",
-            "apple",
-            "apple apple",
-            "banana banana apple",
-            "apple cherry",
-            "cherry apple apple",
-            "banana",
-            "apple date",
-        ]);
-        let q = terms("apple banana cherry");
-        let full_hits = idx.search(&q, usize::MAX);
-        for parts in 1..=4usize {
-            // Deal hits round-robin into disjoint partitions, truncate
-            // each to its local top-k, and merge.
-            for k in 0..=full_hits.len() + 1 {
-                let mut dealt: Vec<Vec<super::SearchHit>> = vec![Vec::new(); parts];
-                for (i, h) in full_hits.iter().enumerate() {
-                    dealt[i % parts].push(h.clone());
-                }
-                let locals = dealt.into_iter().map(|p| super::top_k(p, k));
-                let merged = super::merge_top_k(locals, k);
-                assert_eq!(merged, idx.search(&q, k), "parts={parts} k={k}");
-            }
         }
     }
 

@@ -4,61 +4,8 @@
 //! recording is a handful of relaxed atomic ops, rendering cumulates
 //! bucket counts on the fly.
 
-use ctxrank_serve::LATENCY_BUCKETS_SECS;
+use ctxrank_serve::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One latency histogram over the workspace-standard bucket ladder.
-/// Buckets store *non-cumulative* counts; `render` cumulates, as the
-/// Prometheus exposition format requires.
-struct Histogram {
-    /// One slot per bucket upper bound, plus the +Inf slot.
-    buckets: [AtomicU64; LATENCY_BUCKETS_SECS.len() + 1],
-    sum_micros: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_micros: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    fn observe(&self, secs: f64) {
-        let slot = LATENCY_BUCKETS_SECS
-            .iter()
-            .position(|&ub| secs <= ub)
-            .unwrap_or(LATENCY_BUCKETS_SECS.len());
-        self.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.sum_micros
-            .fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn render(&self, out: &mut String, name: &str, label: &str) {
-        let mut cumulative = 0u64;
-        for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "{name}_bucket{{{label},le=\"{ub}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "{name}_bucket{{{label},le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "{name}_sum{{{label}}} {}\n",
-            self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "{name}_count{{{label}}} {}\n",
-            self.count.load(Ordering::Relaxed)
-        ));
-    }
-}
 
 /// The router's metric registry. Sized at construction for a fixed
 /// shard count (the partition is static for a router's lifetime).
@@ -88,7 +35,7 @@ impl RouterMetrics {
             epoch_mismatch_total: AtomicU64::new(0),
             requests_total: AtomicU64::new(0),
             errors_total: AtomicU64::new(0),
-            shard_latency: (0..shards).map(|_| Histogram::new()).collect(),
+            shard_latency: (0..shards).map(|_| Histogram::default()).collect(),
         }
     }
 

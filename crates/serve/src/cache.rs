@@ -7,7 +7,7 @@
 //! response bodies** keyed `(epoch, query-hash)`:
 //!
 //! * **Invalidation by construction.** The publish epoch is part of the
-//!   key, so a `SwapCell` publish invalidates the entire cache without
+//!   key, so a `ServiceHandle` publish invalidates the entire cache without
 //!   any flush, TTL, or version counter: a probe for the new epoch
 //!   cannot match an entry ranked under the old one. A cached body
 //!   embeds the epoch that ranked it, and it is only ever returned to

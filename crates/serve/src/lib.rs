@@ -4,7 +4,7 @@
 //! annotation and key-concept ranking run inside a user-facing page
 //! pipeline at portal scale. Everything below the request boundary
 //! already exists in this reproduction — the immutable [`Snapshot`]
-//! artifact, the wait-free hot-swap [`ServiceHandle`], the batched
+//! artifact, the hot-swap [`ServiceHandle`], the batched
 //! `rank_batch` API. This crate adds the boundary itself: a
 //! **zero-external-dependency HTTP/1.1 server** on
 //! `std::net::TcpListener` with
@@ -46,5 +46,5 @@ pub use client::{
     one_shot, request_classified, request_with_retry, ClientConfig, Conn, RequestError,
     RequestErrorKind,
 };
-pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_SECS};
+pub use metrics::{Endpoint, Histogram, Metrics, LATENCY_BUCKETS_SECS};
 pub use server::{render_rank_response, render_rank_response_sharded, ServeConfig, Server};

@@ -59,8 +59,11 @@ pub const LATENCY_BUCKETS_SECS: [f64; 12] = [
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
 ];
 
+/// One latency histogram over [`LATENCY_BUCKETS_SECS`] — the only one
+/// in the workspace: this server's per-endpoint and queue-wait
+/// latencies and the router's per-shard latency all record into it.
 #[derive(Default)]
-struct Histogram {
+pub struct Histogram {
     /// One slot per finite bucket plus the `+Inf` slot. Stored
     /// non-cumulative; cumulated at render time.
     buckets: [AtomicU64; LATENCY_BUCKETS_SECS.len() + 1],
@@ -69,7 +72,7 @@ struct Histogram {
 }
 
 impl Histogram {
-    fn observe(&self, secs: f64) {
+    pub fn observe(&self, secs: f64) {
         let slot = LATENCY_BUCKETS_SECS
             .iter()
             .position(|&ub| secs <= ub)
@@ -78,6 +81,36 @@ impl Histogram {
         self.sum_micros
             .fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Append the `_bucket`/`_sum`/`_count` sample lines of metric
+    /// `name`. `labels` is the rendered label list every line carries
+    /// (`endpoint="rank"`), or empty for an unlabelled metric.
+    pub fn render(&self, out: &mut String, name: &str, labels: &str) {
+        let (sep, braced) = if labels.is_empty() {
+            ("", String::new())
+        } else {
+            (",", format!("{{{labels}}}"))
+        };
+        let mut cumulative = 0u64;
+        for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
+            cumulative += self.buckets[i].load(Ordering::Relaxed);
+            out.push_str(&format!(
+                "{name}_bucket{{{labels}{sep}le=\"{ub}\"}} {cumulative}\n"
+            ));
+        }
+        cumulative += self.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
+        out.push_str(&format!(
+            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}\n"
+        ));
+        out.push_str(&format!(
+            "{name}_sum{braced} {}\n",
+            self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
+        ));
+        out.push_str(&format!(
+            "{name}_count{braced} {}\n",
+            self.count.load(Ordering::Relaxed)
+        ));
     }
 }
 
@@ -414,58 +447,19 @@ impl Metrics {
             "# HELP ctxrank_queue_wait_seconds Rank-job wait from accept to batcher dispatch.\n\
              # TYPE ctxrank_queue_wait_seconds histogram\n",
         );
-        {
-            let hist = &self.queue_wait;
-            let mut cumulative = 0u64;
-            for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
-                cumulative += hist.buckets[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "ctxrank_queue_wait_seconds_bucket{{le=\"{ub}\"}} {cumulative}\n"
-                ));
-            }
-            cumulative += hist.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "ctxrank_queue_wait_seconds_bucket{{le=\"+Inf\"}} {cumulative}\n"
-            ));
-            out.push_str(&format!(
-                "ctxrank_queue_wait_seconds_sum {}\n",
-                hist.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "ctxrank_queue_wait_seconds_count {}\n",
-                hist.count.load(Ordering::Relaxed)
-            ));
-        }
+        self.queue_wait
+            .render(&mut out, "ctxrank_queue_wait_seconds", "");
 
         out.push_str(
             "# HELP ctxrank_request_latency_seconds Request latency, by endpoint.\n\
              # TYPE ctxrank_request_latency_seconds histogram\n",
         );
         for ep in Endpoint::ALL {
-            let hist = &self.latency[ep.index()];
-            let mut cumulative = 0u64;
-            for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
-                cumulative += hist.buckets[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "ctxrank_request_latency_seconds_bucket{{endpoint=\"{}\",le=\"{ub}\"}} {cumulative}\n",
-                    ep.label()
-                ));
-            }
-            cumulative += hist.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "ctxrank_request_latency_seconds_bucket{{endpoint=\"{}\",le=\"+Inf\"}} {cumulative}\n",
-                ep.label()
-            ));
-            out.push_str(&format!(
-                "ctxrank_request_latency_seconds_sum{{endpoint=\"{}\"}} {}\n",
-                ep.label(),
-                hist.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "ctxrank_request_latency_seconds_count{{endpoint=\"{}\"}} {}\n",
-                ep.label(),
-                hist.count.load(Ordering::Relaxed)
-            ));
+            self.latency[ep.index()].render(
+                &mut out,
+                "ctxrank_request_latency_seconds",
+                &format!("endpoint=\"{}\"", ep.label()),
+            );
         }
         out
     }

@@ -522,7 +522,7 @@ fn dispatch(inner: &Inner, req: &Request) -> (Endpoint, Response) {
         ("POST", "/feedback") => (Endpoint::Feedback, handle_feedback(inner, &req.body)),
         // The shard side of the two-phase publish. Prepare loads epoch
         // E+1 from a directory into barrier staging without touching
-        // traffic; commit flips it into the SwapCell atomically; abort
+        // traffic; commit flips it into the ServiceHandle atomically; abort
         // drops a staging. A driver brings every shard through prepare
         // before any commit, so the mixed-epoch window collapses to the
         // commit fan-out (which the router retries across).
@@ -608,7 +608,7 @@ fn handle_epoch_prepare(inner: &Inner, body: &[u8]) -> Response {
 }
 
 /// `POST /admin/epoch/commit {"epoch": E}` — atomically flip the staged
-/// snapshot into the serving `SwapCell`.
+/// snapshot into the serving `ServiceHandle`.
 fn handle_epoch_commit(inner: &Inner, body: &[u8]) -> Response {
     let value: serde_json::Value = match serde_json::from_slice(body) {
         Ok(v) => v,

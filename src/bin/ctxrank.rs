@@ -10,7 +10,7 @@
 //! `annotate` builds its knowledge (query log, corpus, dictionary) from a
 //! small synthetic world so the command works out of the box; a real
 //! deployment would load a persisted artifact via
-//! `ctxrank::framework::load_ranker` instead.
+//! `ctxrank::framework::load_service` instead.
 
 use ctxrank::prelude::*;
 use std::io::Read;

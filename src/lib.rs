@@ -24,7 +24,7 @@
 //! * [`eval`] — weighted error rate, NDCG, editorial and A/B harnesses.
 //! * [`framework`] — the §VI production framework: packed feature stores,
 //!   the global TID table, Golomb coding, the immutable [`Snapshot`]
-//!   serving artifact, the runtime ranker, and lock-free snapshot
+//!   serving artifact, the runtime ranker, and snapshot
 //!   hot-swap via [`ServiceHandle`].
 //! * [`serve`] — the dependency-free HTTP/1.1 network front door:
 //!   micro-batched `/rank`, backpressure with load shedding, Prometheus

@@ -10,7 +10,7 @@
 //! * injected corruption surfaces as a typed [`PersistError`] or an
 //!   HTTP error status — never a panic, never a hang;
 //! * a save that dies mid-way never clobbers the previous good
-//!   manifest: the directory stays loadable;
+//!   snapshot: the directory stays loadable;
 //! * the served epoch never regresses, and every `/rank` response is
 //!   consistent with exactly the snapshot its epoch names;
 //! * with an empty [`FaultPlan`], behavior is bit-for-bit the
@@ -23,8 +23,7 @@ use ctxrank_faultsim::{seed_from_env, FaultKind, FaultPlan, FaultyFs};
 use ctxrank_features::{InterestFeatures, RelevantTerms};
 use ctxrank_framework::persist::{
     load_service, load_service_with, load_snapshot, load_snapshot_with, save_service,
-    save_service_with, save_snapshot, save_snapshot_legacy, save_snapshot_with, PersistError,
-    PersistFs,
+    save_service_with, save_snapshot, save_snapshot_with, PersistError, PersistFs,
 };
 use ctxrank_framework::{
     partition_snapshot, GlobalTidTable, PackedInterestStore, PackedRelevanceStore, ServiceHandle,
@@ -142,7 +141,7 @@ fn parse_rank_response(body: &str) -> (u64, f64) {
 
 /// The acceptance sweep: 200 seeded iterations at a 10% injection rate.
 /// A faulty save over a good directory must never leave it unloadable
-/// (the manifest is the commit point), and a faulty load must return
+/// (the arena rename is the commit point), and a faulty load must return
 /// `Ok` or a typed [`PersistError`] — zero panics, zero aborts.
 #[test]
 fn persist_sweep_survives_200_seeded_iterations() {
@@ -174,7 +173,7 @@ fn persist_sweep_survives_200_seeded_iterations() {
 
         // Whatever happened above, the directory must still load
         // cleanly, as either the old or the new epoch — per-file
-        // atomicity plus manifest-last makes anything else a bug.
+        // atomicity plus arena-rename-last makes anything else a bug.
         let reloaded = load_service(dir.path())
             .unwrap_or_else(|e| panic!("seed {seed}: faulty save clobbered the directory: {e}"));
         assert!(
@@ -462,43 +461,6 @@ fn propensity_sweep_torn_writes_and_bit_flips_never_skew_the_table() {
     assert_eq!(flips_rejected, 200, "every single bit flip must be caught");
 }
 
-/// The legacy directory format and the arena file are two encodings of
-/// the same snapshot: loading either must produce identical epochs and
-/// identical rank output.
-#[test]
-fn legacy_and_arena_loads_agree_on_rank() {
-    let legacy_dir = TempDir::new("parity-legacy");
-    let arena_dir = TempDir::new("parity-arena");
-    let snap = snapshot(40.0);
-
-    save_snapshot_legacy(&snap, legacy_dir.path()).expect("legacy save");
-    save_snapshot(&snap, arena_dir.path()).expect("arena save");
-    assert!(
-        !legacy_dir.path().join("snapshot.ctxr").exists(),
-        "legacy save must not write the arena file"
-    );
-
-    let via_legacy = load_snapshot(legacy_dir.path()).expect("legacy load");
-    let via_arena = load_snapshot(arena_dir.path()).expect("arena load");
-    assert_eq!(via_legacy.epoch(), via_arena.epoch());
-    assert_eq!(via_legacy.epoch(), snap.epoch());
-
-    let legacy_handle = ServiceHandle::new(via_legacy);
-    let arena_handle = ServiceHandle::new(via_arena);
-    assert_eq!(probe(&legacy_handle), probe(&arena_handle));
-    // Full rank output, not just the probe: same candidates, same
-    // order, same scores, bit for bit.
-    let candidates = vec!["solar flares".to_string(), "unknown concept".to_string()];
-    let a = legacy_handle.rank(PROBE_TEXT, &candidates);
-    let b = arena_handle.rank(PROBE_TEXT, &candidates);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.surface, y.surface);
-        assert_eq!(x.score, y.score);
-        assert_eq!(x.relevance, y.relevance);
-    }
-}
-
 // --------------------------------------------------------------- serve
 
 /// Hostile clients — slowloris, partial request, oversized payload,
@@ -692,7 +654,7 @@ fn publish_chaos_never_regresses_epochs_or_serves_torn_snapshots() {
                 let save_fs =
                     FaultyFs::new(Arc::new(FaultPlan::new(base.wrapping_add(round), 100)));
                 if save_snapshot_with(&snap, dir.path(), &save_fs).is_err() {
-                    // The manifest still names the previous snapshot;
+                    // The directory still holds the previous snapshot;
                     // the load below sees a stale epoch and skips.
                     save_errors += 1;
                 }
