@@ -48,7 +48,13 @@ impl InterestFeatures {
 
     /// Dense vector with `ln(1+x)` on count-like fields.
     pub fn to_dense(&self) -> Vec<f64> {
-        vec![
+        self.to_array().to_vec()
+    }
+
+    /// [`Self::to_dense`] as a fixed-size array, for callers that keep
+    /// many rows and should not allocate one `Vec` per row.
+    pub fn to_array(&self) -> [f64; Self::DIM] {
+        [
             (self.freq_exact as f64).ln_1p(),
             (self.freq_phrase_contained as f64).ln_1p(),
             self.unit_score,

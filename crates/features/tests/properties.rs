@@ -42,6 +42,30 @@ proptest! {
         prop_assert!(dense.iter().all(|v| v.is_finite()));
     }
 
+    /// `to_dense` and its array twin are one formula: bit-identical on
+    /// arbitrary feature values.
+    #[test]
+    fn to_dense_equals_to_array(
+        counts in (any::<u64>(), any::<u64>(), any::<u64>()),
+        unit_score in -1e12f64..1e12,
+        shape in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>(), any::<u32>()),
+    ) {
+        let f = InterestFeatures {
+            freq_exact: counts.0,
+            freq_phrase_contained: counts.1,
+            unit_score,
+            searchengine_phrase: counts.2,
+            concept_size: shape.0,
+            number_of_chars: shape.1,
+            subconcepts: shape.2,
+            high_level_type: shape.3,
+            wiki_word_count: shape.4,
+        };
+        let dense: Vec<u64> = f.to_dense().iter().map(|v| v.to_bits()).collect();
+        let array: Vec<u64> = f.to_array().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(dense, array);
+    }
+
     /// The context score of mined keywords is monotone in the context:
     /// adding terms never lowers it, and it never exceeds the summation.
     #[test]

@@ -36,11 +36,18 @@ impl CompressedRelevanceStore {
     /// Build from mined keyword sets, interning terms into `tids`.
     /// Mirrors [`crate::relstore::PackedRelevanceStore::build`] so the
     /// two stores are drop-in comparable.
+    ///
+    /// Concepts are interned in surface order, whatever order they come
+    /// in, so term ids (and with them the Golomb gaps and
+    /// [`Self::compressed_bytes`]) do not depend on the caller's
+    /// iteration order, e.g. a `HashMap`'s.
     pub fn build<'a>(
         concepts: impl IntoIterator<Item = (&'a str, &'a RelevantTerms)>,
         tids: &mut GlobalTidTable,
     ) -> Self {
-        let concepts: Vec<(&str, &RelevantTerms)> = concepts.into_iter().collect();
+        let mut concepts: Vec<(&str, &RelevantTerms)> = concepts.into_iter().collect();
+        // Stable, so a repeated surface keeps last-wins semantics.
+        concepts.sort_by(|a, b| a.0.cmp(b.0));
         let score_scale = concepts
             .iter()
             .flat_map(|(_, rt)| rt.terms.iter().map(|(_, s)| *s))
@@ -184,7 +191,7 @@ mod tests {
         let sets: Vec<(String, RelevantTerms)> = (0..15)
             .map(|i| {
                 (
-                    format!("c{i}"),
+                    format!("c{i:02}"),
                     RelevantTerms {
                         terms: (0..40)
                             .map(|j| (format!("kw{}", (i * 3 + j) % 90), 0.5 + j as f64))
@@ -199,7 +206,8 @@ mod tests {
         let mut tids2 = GlobalTidTable::new();
         let packed =
             PackedRelevanceStore::build(sets.iter().map(|(s, r)| (s.as_str(), r)), &mut tids2);
-        // Both builds intern the same terms in the same order.
+        // The input is in surface order, so both builds intern the same
+        // terms in the same order.
         (compressed, packed, tids1)
     }
 
@@ -217,7 +225,7 @@ mod tests {
         let (compressed, packed, tids) = stores();
         let ctx = tids.context_tids(["kw0", "kw7", "kw33", "kw88", "missing"]);
         for i in 0..15 {
-            let surface = format!("c{i}");
+            let surface = format!("c{i:02}");
             let a = compressed.score(&surface, &ctx);
             let b = packed.score(&surface, &ctx);
             assert!((a - b).abs() < 1e-9, "{surface}: {a} vs {b}");
@@ -244,6 +252,27 @@ mod tests {
         assert_eq!(kws.len(), 3);
         let max = kws.iter().map(|(_, s)| *s).fold(0.0_f64, f64::max);
         assert!((max - 7.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn size_does_not_depend_on_input_order() {
+        let sets: Vec<(String, RelevantTerms)> = (0..30)
+            .map(|i| {
+                let terms: Vec<(String, f64)> = (0..12)
+                    .map(|j| (format!("kw{}", (i * 7 + j * 13) % 200), 1.0 + j as f64))
+                    .collect();
+                (format!("c{i}"), RelevantTerms { terms })
+            })
+            .collect();
+        let build = |order: &mut dyn Iterator<Item = &(String, RelevantTerms)>| {
+            let mut tids = GlobalTidTable::new();
+            CompressedRelevanceStore::build(order.map(|(s, r)| (s.as_str(), r)), &mut tids)
+        };
+        let forward = build(&mut sets.iter());
+        let reversed = build(&mut sets.iter().rev());
+        let interleaved = build(&mut sets.iter().step_by(2).chain(sets.iter().skip(1).step_by(2)));
+        assert_eq!(forward.compressed_bytes(), reversed.compressed_bytes());
+        assert_eq!(forward.compressed_bytes(), interleaved.compressed_bytes());
     }
 
     #[test]

@@ -31,6 +31,20 @@
 //! Click feedback rides the §VIII online adjuster, which the
 //! `ServiceHandle` already carries across publishes.
 //!
+//! ## What a delta publish allocates
+//!
+//! Only the interestingness store, the one part a delta changes. The
+//! frozen parts move behind `Arc` once, at bootstrap, and every epoch
+//! the projector produces shares them. The TID table's stem memo is
+//! shared with the table: it maps a raw token to a `TermId` under that
+//! one table, so a token resolved while serving epoch N is a memo hit
+//! on epoch N+1. The shared parts are freed when the projector and the
+//! last snapshot holding them have dropped; a replaced snapshot's own
+//! interestingness store is still freed with its last pinned reader.
+//! The rebuild reads the cumulative state through borrowed
+//! `(&str, &InterestFeatures)` pairs into flat rows, so it copies no
+//! surface string outside the store's own string table.
+//!
 //! ## Epoch semantics
 //!
 //! [`Snapshot::merge_delta`] demands that the snapshot being merged
@@ -41,7 +55,7 @@
 
 use crate::packed::PackedInterestStore;
 use crate::relstore::PackedRelevanceStore;
-use crate::snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
+use crate::snapshot::{SharedParts, Snapshot, SnapshotBuilder, SnapshotError};
 use crate::swap::ServiceHandle;
 use crate::tid::GlobalTidTable;
 use ctxrank_features::InterestFeatures;
@@ -50,10 +64,12 @@ use ctxrank_querylog::{Event, SegmentError, SegmentStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The components a delta publish does *not* change: frozen at
-/// bootstrap, cloned into every incremental epoch. Re-mining keywords
-/// or retraining the model requires a full rebuild (the bootstrap case
-/// of this same projection).
+/// The components a delta publish does *not* change. They are frozen
+/// at bootstrap and moved behind `Arc` there, once; every incremental
+/// epoch shares them (the TID table together with its stem memo), and
+/// they are freed when the projector and the last snapshot using them
+/// drop. Re-mining keywords or retraining the model requires a full
+/// rebuild (the bootstrap case of this same projection).
 #[derive(Debug, Clone)]
 pub struct FrozenParts {
     pub relevance: PackedRelevanceStore,
@@ -174,7 +190,8 @@ fn admitted_features(surface: &str) -> InterestFeatures {
 /// successive epochs. Owns the exact cumulative per-surface state plus
 /// the frozen (bootstrap-time) components.
 pub struct SnapshotProjector {
-    frozen: FrozenParts,
+    /// The frozen parts, shared by every snapshot this projector builds.
+    shared: SharedParts,
     /// Exact cumulative state, sorted by surface: the rebuild input.
     state: BTreeMap<String, InterestFeatures>,
     /// Longest known surface in words — bounds the n-gram scan when
@@ -218,7 +235,7 @@ impl SnapshotProjector {
             .unwrap_or(1)
             .max(1);
         let mut projector = Self {
-            frozen,
+            shared: SharedParts::new(frozen.relevance, frozen.tids, frozen.model),
             state,
             max_surface_terms,
             epoch: 0,
@@ -359,15 +376,14 @@ impl SnapshotProjector {
 
     /// Rebuild the snapshot from cumulative state: the pure function at
     /// the heart of the parity invariant. Sorted surfaces in, packed
-    /// store with freshly fitted quantizers out, next epoch claimed.
+    /// store with freshly fitted quantizers out, frozen parts shared,
+    /// next epoch claimed.
     fn rebuild(&mut self) -> Result<Arc<Snapshot>, SnapshotError> {
-        let concepts: Vec<(String, InterestFeatures)> =
-            self.state.iter().map(|(s, f)| (s.clone(), *f)).collect();
+        let interest =
+            PackedInterestStore::build_borrowed(self.state.iter().map(|(s, f)| (s.as_str(), f)));
         let snapshot = SnapshotBuilder::new()
-            .interest(PackedInterestStore::build(&concepts))
-            .relevance(self.frozen.relevance.clone())
-            .tids(self.frozen.tids.clone())
-            .model(self.frozen.model.clone())
+            .interest(interest)
+            .shared(self.shared.clone())
             .build()?;
         self.epoch = snapshot.epoch();
         Ok(snapshot)
@@ -589,6 +605,78 @@ mod tests {
             }
             assert_eq!(all.interest().len(), two.interest().len());
         }
+    }
+
+    #[test]
+    fn every_epoch_shares_the_frozen_parts_and_the_stem_memo() {
+        let (mut projector, first) =
+            SnapshotProjector::bootstrap(frozen(), base()).expect("bootstrap");
+        let batches = [
+            vec![query(&["oil"], 3)],
+            vec![click(1, "meteor shower", 300, 6)],
+            vec![
+                click(2, "solar flares", 100, 4),
+                query(&["solar", "flares"], 2),
+            ],
+        ];
+        let mut epochs = vec![first];
+        for events in &batches {
+            let delta = projector.fold(events);
+            let latest = epochs.last().expect("bootstrap epoch");
+            let next = latest.merge_delta(&mut projector, &delta).expect("merge");
+            epochs.push(next);
+        }
+        assert!(!epochs[1].interest().contains("meteor shower"));
+        assert!(epochs[2].interest().contains("meteor shower"), "admitted");
+
+        for (n, pair) in epochs.windows(2).enumerate() {
+            let (older, newer) = (&pair[0], &pair[1]);
+            assert!(std::ptr::eq(older.relevance(), newer.relevance()), "{n}");
+            assert!(std::ptr::eq(older.tids(), newer.tids()), "{n}");
+            assert!(std::ptr::eq(older.model(), newer.model()), "{n}");
+            // A token first resolved on epoch N is a memo hit on N+1.
+            let token = ["sunspot", "corona", "plasma"][n];
+            assert!(!newer.memo_holds(token), "{token} resolved early");
+            older.context_tids_cached(&format!("{token} activity"));
+            assert!(newer.memo_holds(token), "{token} missed on epoch {}", n + 1);
+        }
+    }
+
+    #[test]
+    fn delta_publishes_free_replaced_snapshots_but_keep_one_copy_of_the_shared_parts() {
+        let (mut projector, first) =
+            SnapshotProjector::bootstrap(frozen(), base()).expect("bootstrap");
+        let relevance = Arc::downgrade(&first.shared.relevance);
+        let tids = Arc::downgrade(&first.shared.tids);
+        let model = Arc::downgrade(&first.shared.model);
+        let handle = ServiceHandle::new(first);
+        let mut published = vec![Arc::downgrade(&handle.current())];
+        let mut store = SegmentStore::in_memory(SegmentConfig::default());
+        for story in 0..100 {
+            store.append(&click(story, "oil", 10, 1)).expect("append");
+            store.seal().expect("seal");
+            projector.publish_from(&store, &handle).expect("publish");
+            published.push(Arc::downgrade(&handle.current()));
+        }
+
+        let last = published.len() - 1;
+        for (i, weak) in published.iter().enumerate() {
+            assert_eq!(weak.strong_count() > 0, i == last, "snapshot {i}");
+        }
+        // One copy of each shared part, held by the projector and by
+        // the snapshot being served.
+        let counts = || {
+            [
+                relevance.strong_count(),
+                tids.strong_count(),
+                model.strong_count(),
+            ]
+        };
+        assert_eq!(counts(), [2, 2, 2]);
+        drop(handle);
+        assert_eq!(counts(), [1, 1, 1], "the projector's own");
+        drop(projector);
+        assert_eq!(counts(), [0, 0, 0], "freed with the last holder");
     }
 
     #[test]

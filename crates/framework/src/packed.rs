@@ -76,20 +76,27 @@ impl PackedInterestStore {
     /// are fitted per field over the full concept set, as the offline
     /// process would.
     pub fn build(concepts: &[(String, InterestFeatures)]) -> Self {
-        let dense: Vec<Vec<f64>> = concepts.iter().map(|(_, f)| f.to_dense()).collect();
-        let quantizers: [FieldQuantizer; InterestFeatures::DIM] =
-            std::array::from_fn(|d| FieldQuantizer::fit(dense.iter().map(|row| row[d])));
+        Self::build_borrowed(concepts.iter().map(|(s, f)| (s.as_str(), f)))
+    }
 
-        let names = StrTable::build(concepts.iter().map(|(s, _)| s.as_str()));
-        let mut data = Vec::with_capacity(concepts.len() * BYTES_PER_CONCEPT);
-        for row in &dense {
-            for (d, &v) in row.iter().enumerate() {
-                let q = quantizers[d].quantize(v);
-                data.extend_from_slice(&q.to_le_bytes());
+    /// [`Self::build`] over borrowed pairs: no surface is copied except
+    /// into the string table, and each dense row is a flat array.
+    pub(crate) fn build_borrowed<'a>(
+        concepts: impl IntoIterator<Item = (&'a str, &'a InterestFeatures)>,
+    ) -> Self {
+        let (surfaces, rows): (Vec<&str>, Vec<[f64; InterestFeatures::DIM]>) =
+            concepts.into_iter().map(|(s, f)| (s, f.to_array())).unzip();
+        let quantizers: [FieldQuantizer; InterestFeatures::DIM] =
+            std::array::from_fn(|d| FieldQuantizer::fit(rows.iter().map(|row| row[d])));
+
+        let mut data = Vec::with_capacity(rows.len() * BYTES_PER_CONCEPT);
+        for row in &rows {
+            for (q, &v) in quantizers.iter().zip(row) {
+                data.extend_from_slice(&q.quantize(v).to_le_bytes());
             }
         }
         Self {
-            names,
+            names: StrTable::build(surfaces),
             data: ByteSlab::Owned(data),
             quantizers,
         }

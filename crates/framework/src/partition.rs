@@ -15,8 +15,9 @@
 //! snapshot, not a rebuild: the packed 18-byte interest rows and packed
 //! relevance pairs are copied verbatim, the interest quantizers and the
 //! relevance `score_scale` stay the *global* values fitted over the
-//! full set, and every shard carries the full Global TID Table and the
-//! same trained model. Ranking an owned candidate on its shard is
+//! full set, and every shard shares the parent's Global TID Table (with
+//! its stem memo) and trained model by `Arc`, so they are not copied
+//! per shard. Ranking an owned candidate on its shard is
 //! therefore bit-identical to ranking it on the full snapshot — the
 //! property the scatter-gather router's merged top-k relies on.
 //! Candidates a shard does not own rank with zeroed features and zero
@@ -37,7 +38,7 @@
 use crate::arena::{ByteSlab, StrTable, U32Slab};
 use crate::packed::{PackedInterestStore, BYTES_PER_CONCEPT};
 use crate::relstore::PackedRelevanceStore;
-use crate::snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
+use crate::snapshot::{SharedParts, Snapshot, SnapshotBuilder, SnapshotError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -219,11 +220,14 @@ pub fn partition_snapshot(
 
         let snapshot = SnapshotBuilder::new()
             .interest(shard_interest)
-            .relevance(shard_relevance)
-            // Every shard resolves context tokens against the full term
-            // table, so context TID sets agree across the fleet.
-            .tids(full.tids().clone())
-            .model(full.model().clone())
+            .shared(SharedParts {
+                relevance: Arc::new(shard_relevance),
+                // Every shard resolves context tokens against the full
+                // term table, so context TID sets agree across the
+                // fleet; sharing it shares its stem memo too.
+                tids: Arc::clone(&full.shared.tids),
+                model: Arc::clone(&full.shared.model),
+            })
             .epoch(full.epoch())
             .build()
             .map_err(PartitionError::Snapshot)?;
@@ -412,7 +416,9 @@ mod tests {
             let mut seen = std::collections::HashMap::new();
             for part in &parts {
                 assert_eq!(part.snapshot.epoch(), full.epoch(), "epoch pin");
-                assert_eq!(part.snapshot.tids().len(), full.tids().len());
+                // The parent's table (with its memo) and model, shared.
+                assert!(std::ptr::eq(part.snapshot.tids(), full.tids()));
+                assert!(std::ptr::eq(part.snapshot.model(), full.model()));
                 for i in 0..part.snapshot.interest().len() as u32 {
                     let s = part.snapshot.interest().names.str_at(i).to_string();
                     assert!(part.snapshot.contains_concept(&s));

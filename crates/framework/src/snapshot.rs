@@ -10,11 +10,20 @@
 //! increasing epoch, and shared behind `Arc` so a serving fleet can
 //! hold many concurrent views of one artifact.
 //!
+//! The relevance store, the TID table and the model each sit behind an
+//! `Arc` of their own, so snapshots that differ only in their
+//! interestingness store (successive delta epochs) or only in their
+//! rows (the shards of one partition) share those parts instead of
+//! copying them. A shared part is freed with the last snapshot or
+//! projector that holds it.
+//!
 //! A snapshot never changes after `build()`. The only interior
 //! mutability is the stem memo cache, which is *semantically* immutable:
-//! a raw token always resolves to the same `Option<TermId>` for a given
-//! snapshot, so the cache is a pure memo whose population order can
-//! never be observed through results. It is sharded so concurrent
+//! a raw token always resolves to the same `Option<TermId>` under a
+//! given TID table, so the cache is a pure memo whose population order
+//! can never be observed through results. Because it depends on the
+//! table alone, it lives with the table and is shared by every snapshot
+//! that shares the table. It is sharded so concurrent
 //! `rank`/`rank_batch` callers touch disjoint locks instead of
 //! contending on one `RwLock` (the pre-snapshot design).
 
@@ -82,6 +91,49 @@ impl ShardedStemCache {
     }
 }
 
+/// The Global TID Table together with its stem memo. The memo is a
+/// function of the table alone, so the two are shared as one unit: every
+/// snapshot holding this `Arc` reuses the tokens any of them resolved.
+pub(crate) struct TidsAndMemo {
+    table: GlobalTidTable,
+    memo: ShardedStemCache,
+}
+
+impl TidsAndMemo {
+    fn new(table: GlobalTidTable) -> Self {
+        Self {
+            table,
+            memo: ShardedStemCache::new(),
+        }
+    }
+}
+
+/// The parts of a [`Snapshot`] that can outlive it, each behind its own
+/// `Arc`: the delta projector hands the same three to every epoch it
+/// builds, and a partition hands its parent's table and model to every
+/// shard.
+#[derive(Clone)]
+pub(crate) struct SharedParts {
+    pub(crate) relevance: Arc<PackedRelevanceStore>,
+    pub(crate) tids: Arc<TidsAndMemo>,
+    pub(crate) model: Arc<RankModel>,
+}
+
+impl SharedParts {
+    /// Move freshly built parts behind their `Arc`s, with an empty memo.
+    pub(crate) fn new(
+        relevance: PackedRelevanceStore,
+        tids: GlobalTidTable,
+        model: RankModel,
+    ) -> Self {
+        Self {
+            relevance: Arc::new(relevance),
+            tids: Arc::new(TidsAndMemo::new(tids)),
+            model: Arc::new(model),
+        }
+    }
+}
+
 /// Error from [`SnapshotBuilder::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
@@ -110,13 +162,16 @@ impl std::error::Error for SnapshotError {}
 /// with its epoch. Construct through [`SnapshotBuilder`]; share behind
 /// `Arc` (all ranking entry points take `Arc<Snapshot>` or a view over
 /// one).
+///
+/// The interestingness store is the snapshot's own. The relevance
+/// store, the TID table (with its stem memo) and the model may be
+/// shared with other snapshots: delta epochs from one projector share
+/// all three, the shards of one partition share the parent's table and
+/// model.
 pub struct Snapshot {
     epoch: u64,
     interest: PackedInterestStore,
-    relevance: PackedRelevanceStore,
-    tids: GlobalTidTable,
-    model: RankModel,
-    stem_cache: ShardedStemCache,
+    pub(crate) shared: SharedParts,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -124,7 +179,7 @@ impl std::fmt::Debug for Snapshot {
         f.debug_struct("Snapshot")
             .field("epoch", &self.epoch)
             .field("concepts", &self.interest.len())
-            .field("terms", &self.tids.len())
+            .field("terms", &self.tids().len())
             .finish_non_exhaustive()
     }
 }
@@ -143,17 +198,17 @@ impl Snapshot {
 
     /// The packed relevance-keyword store.
     pub fn relevance(&self) -> &PackedRelevanceStore {
-        &self.relevance
+        &self.shared.relevance
     }
 
     /// The Global TID Table.
     pub fn tids(&self) -> &GlobalTidTable {
-        &self.tids
+        &self.shared.tids.table
     }
 
     /// The trained ranking model.
     pub fn model(&self) -> &RankModel {
-        &self.model
+        &self.shared.model
     }
 
     /// Whether this snapshot stores `surface` in either frozen store —
@@ -161,7 +216,7 @@ impl Snapshot {
     /// concept. Candidates failing this check rank with zeroed features
     /// and zero relevance, identically on every shard.
     pub fn contains_concept(&self, surface: &str) -> bool {
-        self.interest.contains(surface) || self.relevance.contains(surface)
+        self.interest.contains(surface) || self.relevance().contains(surface)
     }
 
     /// Resolve a raw (unnormalized) token to its interned TermId; the
@@ -171,7 +226,7 @@ impl Snapshot {
         if norm.is_empty() || ctxrank_text::is_stopword(&norm) {
             return None;
         }
-        self.tids.get(&ctxrank_text::stem(&norm))
+        self.tids().get(&ctxrank_text::stem(&norm))
     }
 
     /// The document's context TID set, resolving tokens through the
@@ -180,13 +235,14 @@ impl Snapshot {
     /// and concurrent documents only collide on a shard when their
     /// tokens hash together.
     pub fn context_tids_cached(&self, text: &str) -> HashSet<TermId> {
+        let memo = &self.shared.tids.memo;
         let mut context = HashSet::new();
         // Misses grouped per shard so each shard's write lock is taken
         // at most once per document.
         let mut misses: Vec<Vec<(Box<str>, Option<TermId>)>> = vec![Vec::new(); STEM_SHARDS];
         for tok in ctxrank_text::tokenize(text) {
             let shard = shard_of(tok.text);
-            let hit = self.stem_cache.shards[shard].read().get(tok.text).copied();
+            let hit = memo.shards[shard].read().get(tok.text).copied();
             match hit {
                 Some(tid) => {
                     if let Some(tid) = tid {
@@ -206,17 +262,30 @@ impl Snapshot {
             if entries.is_empty() {
                 continue;
             }
-            let mut cache = self.stem_cache.shards[shard].write();
+            let mut cache = memo.shards[shard].write();
             if cache.len() < STEM_SHARD_CAP {
                 cache.extend(entries);
             }
         }
         context
     }
+
+    /// Whether the stem memo already holds `token`.
+    #[cfg(test)]
+    pub(crate) fn memo_holds(&self, token: &str) -> bool {
+        self.shared.tids.memo.shards[shard_of(token)]
+            .read()
+            .contains_key(token)
+    }
 }
 
 /// The single assembly path for [`Snapshot`]s: collect the four frozen
 /// components, validate them, stamp an epoch, freeze.
+///
+/// Each component handed in by value gets an `Arc` of its own, and with
+/// the TID table a fresh stem memo. Inside the crate, the delta
+/// projector and `partition_snapshot` hand in parts that other
+/// snapshots already hold, so those are shared, not copied.
 ///
 /// ```
 /// # use ctxrank_framework::*;
@@ -237,9 +306,9 @@ impl Snapshot {
 #[derive(Default)]
 pub struct SnapshotBuilder {
     interest: Option<PackedInterestStore>,
-    relevance: Option<PackedRelevanceStore>,
-    tids: Option<GlobalTidTable>,
-    model: Option<RankModel>,
+    relevance: Option<Arc<PackedRelevanceStore>>,
+    tids: Option<Arc<TidsAndMemo>>,
+    model: Option<Arc<RankModel>>,
     epoch: Option<u64>,
 }
 
@@ -257,19 +326,27 @@ impl SnapshotBuilder {
 
     /// The packed relevance-keyword store.
     pub fn relevance(mut self, relevance: PackedRelevanceStore) -> Self {
-        self.relevance = Some(relevance);
+        self.relevance = Some(Arc::new(relevance));
         self
     }
 
     /// The Global TID Table the relevance store was interned against.
     pub fn tids(mut self, tids: GlobalTidTable) -> Self {
-        self.tids = Some(tids);
+        self.tids = Some(Arc::new(TidsAndMemo::new(tids)));
         self
     }
 
     /// The trained (linear) ranking model.
     pub fn model(mut self, model: RankModel) -> Self {
-        self.model = Some(model);
+        self.model = Some(Arc::new(model));
+        self
+    }
+
+    /// Share already-built parts instead of supplying fresh ones.
+    pub(crate) fn shared(mut self, parts: SharedParts) -> Self {
+        self.relevance = Some(parts.relevance);
+        self.tids = Some(parts.tids);
+        self.model = Some(parts.model);
         self
     }
 
@@ -305,10 +382,11 @@ impl SnapshotBuilder {
         Ok(Arc::new(Snapshot {
             epoch,
             interest,
-            relevance,
-            tids,
-            model,
-            stem_cache: ShardedStemCache::new(),
+            shared: SharedParts {
+                relevance,
+                tids,
+                model,
+            },
         }))
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the packed production stores.
 
+use ctxrank_features::InterestFeatures;
 use ctxrank_framework::{
     golomb_decode, golomb_encode, optimal_rice_parameter, FieldQuantizer, GlobalTidTable,
     OnlineConfig, OnlineCtrAdjuster, PackedInterestStore, PackedRelevanceStore, PropensityTable,
@@ -89,6 +90,55 @@ proptest! {
                 // most ~ln(1e5) ≈ 11.5, so tolerance is generous.
                 prop_assert!((a - b).abs() < 0.01, "{} vs {}", a, b);
             }
+        }
+    }
+
+    /// The store's build gives the same quantizers and dequantized rows,
+    /// bit for bit, as the reference owned build (one `to_dense` vector
+    /// per row, quantizers fitted over those vectors).
+    #[test]
+    fn packed_interest_build_matches_owned_reference(
+        rows in prop::collection::vec(
+            (any::<u64>(), 0u64..100_000, -1e6f64..1e6, any::<u64>(),
+             any::<u32>(), 2u32..40, any::<u32>(), any::<u8>(), any::<u32>()),
+            0..40)
+    ) {
+        let concepts: Vec<(String, InterestFeatures)> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                (format!("c{i}"), InterestFeatures {
+                    freq_exact: r.0,
+                    freq_phrase_contained: r.1,
+                    unit_score: r.2,
+                    searchengine_phrase: r.3,
+                    concept_size: r.4,
+                    number_of_chars: r.5,
+                    subconcepts: r.6,
+                    high_level_type: r.7,
+                    wiki_word_count: r.8,
+                })
+            })
+            .collect();
+        let store = PackedInterestStore::build(&concepts);
+
+        let dense: Vec<Vec<f64>> = concepts.iter().map(|(_, f)| f.to_dense()).collect();
+        let quantizers: [FieldQuantizer; InterestFeatures::DIM] =
+            std::array::from_fn(|d| FieldQuantizer::fit(dense.iter().map(|row| row[d])));
+        prop_assert_eq!(store.quantizers(), &quantizers);
+        for ((surface, _), row) in concepts.iter().zip(&dense) {
+            let expected: Vec<u64> = row
+                .iter()
+                .zip(&quantizers)
+                .map(|(&v, q)| q.dequantize(q.quantize(v)).to_bits())
+                .collect();
+            let got: Vec<u64> = store
+                .dense(surface)
+                .expect("stored")
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            prop_assert_eq!(got, expected, "{}", surface);
         }
     }
 
