@@ -37,7 +37,7 @@ pub use postings::{
 };
 pub use search::SearchHit;
 pub use snippet::{snippet, DEFAULT_CONTEXT_TOKENS};
-pub use tfidf::{tf_idf_weight, TermVector};
+pub use tfidf::tf_idf_weight;
 
 use ctxrank_text::{Interner, TermId};
 

@@ -1,7 +1,5 @@
 //! tf·idf term weighting (Salton & Buckley, reference \[6\] of the paper).
 
-use std::collections::HashMap;
-
 /// Classic log-scaled tf·idf weight: `(1 + ln tf) · idf` for `tf > 0`,
 /// zero otherwise.
 pub fn tf_idf_weight(tf: usize, idf: f64) -> f64 {
@@ -9,120 +7,6 @@ pub fn tf_idf_weight(tf: usize, idf: f64) -> f64 {
         0.0
     } else {
         (1.0 + (tf as f64).ln()) * idf
-    }
-}
-
-/// A sparse weighted term vector.
-///
-/// Used for document term vectors in the concept-vector generator (§II-B)
-/// and for the bag-of-words scoring of mined relevance keywords (§IV-B).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TermVector {
-    weights: HashMap<String, f64>,
-}
-
-impl TermVector {
-    /// Create an empty vector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build a vector from term counts and a per-term idf lookup.
-    pub fn from_counts<F>(counts: &HashMap<String, usize>, idf: F) -> Self
-    where
-        F: Fn(&str) -> f64,
-    {
-        let weights = counts
-            .iter()
-            .map(|(t, &c)| (t.clone(), tf_idf_weight(c, idf(t))))
-            .collect();
-        Self { weights }
-    }
-
-    /// Set (overwrite) one term's weight.
-    pub fn set(&mut self, term: impl Into<String>, weight: f64) {
-        self.weights.insert(term.into(), weight);
-    }
-
-    /// Add to one term's weight (creating it at zero first).
-    pub fn add(&mut self, term: impl Into<String>, delta: f64) {
-        *self.weights.entry(term.into()).or_insert(0.0) += delta;
-    }
-
-    /// Get a term's weight (zero when absent).
-    pub fn get(&self, term: &str) -> f64 {
-        self.weights.get(term).copied().unwrap_or(0.0)
-    }
-
-    /// Remove a term; returns its former weight if present.
-    pub fn remove(&mut self, term: &str) -> Option<f64> {
-        self.weights.remove(term)
-    }
-
-    /// Does the vector contain `term`?
-    pub fn contains(&self, term: &str) -> bool {
-        self.weights.contains_key(term)
-    }
-
-    /// Number of non-zero entries.
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// True when no entries are present.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// Iterate `(term, weight)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.weights.iter().map(|(t, &w)| (t.as_str(), w))
-    }
-
-    /// Largest weight in the vector (zero when empty).
-    pub fn max_weight(&self) -> f64 {
-        self.weights.values().copied().fold(0.0, f64::max)
-    }
-
-    /// Scale every weight so the maximum becomes 1.0 (§II-B: "the remaining
-    /// terms' weights are normalized so that they are between 0 and 1").
-    /// A vector of all-zero weights is left unchanged.
-    pub fn normalize_max(&mut self) {
-        let max = self.max_weight();
-        if max > 0.0 {
-            for w in self.weights.values_mut() {
-                *w /= max;
-            }
-        }
-    }
-
-    /// Multiply weights below `threshold` by `factor` (the paper's
-    /// "punish" step), then drop entries that fall below `drop_below`.
-    pub fn punish_and_prune(&mut self, threshold: f64, factor: f64, drop_below: f64) {
-        for w in self.weights.values_mut() {
-            if *w < threshold {
-                *w *= factor;
-            }
-        }
-        self.weights.retain(|_, w| *w >= drop_below);
-    }
-
-    /// The `k` highest-weighted entries, descending by weight (ties broken
-    /// by term for determinism).
-    pub fn top_k(&self, k: usize) -> Vec<(String, f64)> {
-        let mut v: Vec<_> = self.weights.iter().map(|(t, &w)| (t.clone(), w)).collect();
-        v.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(k);
-        v
-    }
-
-    /// Sum of all weights.
-    pub fn sum(&self) -> f64 {
-        self.weights.values().sum()
     }
 }
 
@@ -139,63 +23,5 @@ mod tests {
     fn weight_monotone_in_tf_and_idf() {
         assert!(tf_idf_weight(2, 1.0) > tf_idf_weight(1, 1.0));
         assert!(tf_idf_weight(1, 2.0) > tf_idf_weight(1, 1.0));
-    }
-
-    #[test]
-    fn normalize_max_caps_at_one() {
-        let mut v = TermVector::new();
-        v.set("a", 4.0);
-        v.set("b", 2.0);
-        v.normalize_max();
-        assert_eq!(v.get("a"), 1.0);
-        assert_eq!(v.get("b"), 0.5);
-    }
-
-    #[test]
-    fn normalize_empty_is_noop() {
-        let mut v = TermVector::new();
-        v.normalize_max();
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn punish_and_prune_behaviour() {
-        let mut v = TermVector::new();
-        v.set("strong", 0.9);
-        v.set("weak", 0.3);
-        v.set("tiny", 0.05);
-        // Punish entries below 0.5 by x0.5, then drop below 0.1.
-        v.punish_and_prune(0.5, 0.5, 0.1);
-        assert_eq!(v.get("strong"), 0.9);
-        assert_eq!(v.get("weak"), 0.15);
-        assert!(!v.contains("tiny"));
-    }
-
-    #[test]
-    fn top_k_descending_and_deterministic() {
-        let mut v = TermVector::new();
-        v.set("b", 1.0);
-        v.set("a", 1.0);
-        v.set("c", 2.0);
-        let top = v.top_k(2);
-        assert_eq!(top[0].0, "c");
-        assert_eq!(top[1].0, "a"); // tie broken alphabetically
-    }
-
-    #[test]
-    fn from_counts_applies_idf() {
-        let mut counts = HashMap::new();
-        counts.insert("rare".to_string(), 1);
-        counts.insert("common".to_string(), 1);
-        let v = TermVector::from_counts(&counts, |t| if t == "rare" { 5.0 } else { 1.0 });
-        assert!(v.get("rare") > v.get("common"));
-    }
-
-    #[test]
-    fn add_accumulates() {
-        let mut v = TermVector::new();
-        v.add("x", 0.5);
-        v.add("x", 0.25);
-        assert!((v.get("x") - 0.75).abs() < 1e-12);
     }
 }

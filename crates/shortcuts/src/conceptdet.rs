@@ -5,24 +5,37 @@
 //! beyond editorially reviewed terms." The detector scans a normalized
 //! token stream for phrases present in a [`UnitDictionary`] whose score
 //! clears a threshold, longest match first.
+//!
+//! The scan runs on a [`Projection`] of the tokens: their ids in the
+//! dictionary's interner and their stop-word flags. `Pipeline::process`
+//! projects a document once for this detector and the concept-vector
+//! builder; [`ConceptDetector::detect_ids`] projects, then scans.
 
 use ctxrank_querylog::UnitDictionary;
+use ctxrank_text::TermId;
 
-/// A concept detection in a token stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConceptMatch {
-    /// Token index where the concept starts.
-    pub token_start: usize,
-    /// Number of tokens covered.
-    pub token_len: usize,
-    /// The concept surface (space-joined terms).
-    pub surface: String,
-    /// The unit score of the matched concept.
-    pub unit_score: f64,
+/// A token stream in a unit dictionary's id space: one interner id
+/// (`None` for a term no unit contains) and one stop-word flag per token.
+pub(crate) struct Projection {
+    pub(crate) ids: Vec<Option<TermId>>,
+    pub(crate) stop: Vec<bool>,
+}
+
+impl Projection {
+    /// Project `tokens` (already normalized) into `units`' id space.
+    pub(crate) fn new(units: &UnitDictionary, tokens: &[String]) -> Self {
+        Self {
+            ids: units.interner().map_tokens(tokens),
+            stop: tokens
+                .iter()
+                .map(|t| ctxrank_text::is_stopword(t))
+                .collect(),
+        }
+    }
 }
 
 /// An allocation-free concept detection: the matched unit is referenced
-/// by its dictionary index instead of a joined surface string.
+/// by its dictionary index (its surface is [`UnitDictionary::surface`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConceptIdMatch {
     /// Token index where the concept starts.
@@ -62,42 +75,30 @@ impl<'a> ConceptDetector<'a> {
 
     /// Scan `tokens` (already normalized) for concepts. Longest match
     /// wins at each position; matches never overlap; stop-words never
-    /// start a concept.
+    /// start or end a concept.
     ///
     /// The scan projects the tokens into the dictionary's id space once,
     /// then probes all window lengths at each position with a single
     /// incremental trie descent — no per-window string joins or hashes.
     /// A token unknown to the dictionary cuts every phrase through it.
-    pub fn detect(&self, tokens: &[String]) -> Vec<ConceptMatch> {
-        self.detect_ids(tokens)
-            .into_iter()
-            .map(|m| ConceptMatch {
-                token_start: m.token_start,
-                token_len: m.token_len,
-                surface: tokens[m.token_start..m.token_start + m.token_len].join(" "),
-                unit_score: m.unit_score,
-            })
-            .collect()
+    /// Matches carry the unit's dictionary index, so scoring loops can
+    /// accumulate per unit with zero allocation per match.
+    pub fn detect_ids(&self, tokens: &[String]) -> Vec<ConceptIdMatch> {
+        self.detect_projected(&Projection::new(self.units, tokens))
     }
 
-    /// [`Self::detect`] without surface materialization: matches carry
-    /// the unit's dictionary index, so scoring loops can accumulate into
-    /// dense per-unit arrays with zero allocation per match.
-    pub fn detect_ids(&self, tokens: &[String]) -> Vec<ConceptIdMatch> {
-        let ids = self.units.interner().map_tokens(tokens);
-        let stop: Vec<bool> = tokens
-            .iter()
-            .map(|t| ctxrank_text::is_stopword(t))
-            .collect();
+    /// [`Self::detect_ids`] over an already projected token stream.
+    pub(crate) fn detect_projected(&self, p: &Projection) -> Vec<ConceptIdMatch> {
+        let (ids, stop) = (&p.ids, &p.stop);
         let shortest = if self.allow_single { 1 } else { 2 };
         let mut out = Vec::new();
         let mut i = 0;
-        while i < tokens.len() {
+        while i < ids.len() {
             if stop[i] {
                 i += 1;
                 continue;
             }
-            let longest = self.max_terms.min(tokens.len() - i);
+            let longest = self.max_terms.min(ids.len() - i);
             // Walk the trie forward, remembering the longest qualifying
             // match; a low-scoring longer unit never shadows a shorter
             // qualifying one. A concept must not end with a stop-word.
@@ -157,25 +158,28 @@ mod tests {
         extract_units(&log, &UnitConfig::default())
     }
 
+    /// Surfaces of the detected units, in document order.
+    fn surfaces<'u>(u: &'u UnitDictionary, found: &[ConceptIdMatch]) -> Vec<&'u str> {
+        found.iter().map(|m| u.surface(m.unit)).collect()
+    }
+
     #[test]
     fn detects_multiterm_concept() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("scientists say global warming accelerates"));
-        assert!(
-            found.iter().any(|m| m.surface == "global warming"),
-            "{found:?}"
-        );
+        let found = det.detect_ids(&t("scientists say global warming accelerates"));
+        let found = surfaces(&u, &found);
+        assert!(found.contains(&"global warming"), "{found:?}");
     }
 
     #[test]
     fn longest_match_preferred() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("find cheap auto insurance online"));
+        let found = det.detect_ids(&t("find cheap auto insurance online"));
         let best = found
             .iter()
-            .find(|m| m.surface.contains("auto insurance"))
+            .find(|m| u.surface(m.unit).contains("auto insurance"))
             .expect("insurance concept");
         // "cheap auto insurance" should win over "auto insurance" if it
         // was extracted as a 3-term unit; either way it covers >= 2 terms.
@@ -186,7 +190,7 @@ mod tests {
     fn no_overlap() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("global warming global warming"));
+        let found = det.detect_ids(&t("global warming global warming"));
         for pair in found.windows(2) {
             assert!(pair[0].token_start + pair[0].token_len <= pair[1].token_start);
         }
@@ -196,10 +200,10 @@ mod tests {
     fn stopwords_never_start_concepts() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("the and of global warming"));
-        for m in &found {
+        let found = det.detect_ids(&t("the and of global warming"));
+        for s in surfaces(&u, &found) {
             assert!(!ctxrank_text::is_stopword(
-                m.surface.split(' ').next().expect("term")
+                s.split(' ').next().expect("term")
             ));
         }
     }
@@ -209,7 +213,7 @@ mod tests {
         let u = units();
         let mut det = ConceptDetector::new(&u);
         det.min_score = 2.0; // impossible
-        assert!(det.detect(&t("global warming effects")).is_empty());
+        assert!(det.detect_ids(&t("global warming effects")).is_empty());
     }
 
     #[test]
@@ -217,7 +221,7 @@ mod tests {
         let u = units();
         let mut det = ConceptDetector::new(&u);
         det.allow_single = false;
-        let found = det.detect(&t("insurance quotes today"));
+        let found = det.detect_ids(&t("insurance quotes today"));
         assert!(found.iter().all(|m| m.token_len >= 2));
     }
 
@@ -225,6 +229,6 @@ mod tests {
     fn empty_tokens() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        assert!(det.detect(&[]).is_empty());
+        assert!(det.detect_ids(&[]).is_empty());
     }
 }

@@ -28,7 +28,7 @@ pub mod patterns;
 pub mod pipeline;
 pub mod vector;
 
-pub use conceptdet::{ConceptDetector, ConceptIdMatch, ConceptMatch};
+pub use conceptdet::{ConceptDetector, ConceptIdMatch};
 pub use dictionary::{DictionaryEntry, EntityDictionary};
 pub use patterns::{detect_patterns, PatternType};
 pub use pipeline::{Annotation, DetectionKind, Pipeline, PipelineConfig};

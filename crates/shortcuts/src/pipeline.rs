@@ -10,14 +10,16 @@
 //!
 //! [`Pipeline::process`] runs that flow and returns the plain text with
 //! its [`Annotation`]s, each carrying the baseline concept-vector score
-//! (§II-B) that the ranking experiments compare against.
+//! (§II-B) that the ranking experiments compare against. The concept
+//! detector, the concept-vector builder and the stop-word filter share
+//! one projection of the tokens into the unit dictionary's id space.
 
-use crate::conceptdet::ConceptDetector;
+use crate::conceptdet::{ConceptDetector, Projection};
 use crate::dictionary::EntityDictionary;
 use crate::patterns::{detect_patterns, PatternType};
 use crate::vector::{ConceptVectorBuilder, ConceptVectorConfig};
 use ctxrank_querylog::UnitDictionary;
-use ctxrank_text::Span;
+use ctxrank_text::{FnvBuildHasher, Span};
 use std::collections::HashMap;
 
 /// What kind of thing an annotation is.
@@ -178,16 +180,25 @@ impl<'a> Pipeline<'a> {
         };
         let doc_len = text.len().max(1) as f64;
 
-        // Detection.
-        let mut candidates: Vec<Annotation> = Vec::new();
-        for m in detect_patterns(&text) {
-            candidates.push(Annotation {
-                surface: m.of(&text).to_string(),
-                span: m.span,
-                kind: DetectionKind::Pattern(m.kind),
+        // Detection. A candidate is flagged if it covers only stop-words.
+        let projection = Projection::new(self.units, &norm);
+        let stop_only =
+            |start: usize, len: usize| projection.stop[start..start + len].iter().all(|&s| s);
+        let candidate = |span: Span, surface, kind, stop: bool| {
+            let position_frac = span.start as f64 / doc_len;
+            let annotation = Annotation {
+                span,
+                surface,
+                kind,
                 score: 0.0,
-                position_frac: m.span.start as f64 / doc_len,
-            });
+                position_frac,
+            };
+            (annotation, stop)
+        };
+        let mut candidates: Vec<(Annotation, bool)> = Vec::new();
+        for m in detect_patterns(&text) {
+            let kind = DetectionKind::Pattern(m.kind);
+            candidates.push(candidate(m.span, m.of(&text).to_string(), kind, false));
         }
         for m in self
             .dictionary
@@ -198,40 +209,32 @@ impl<'a> Pipeline<'a> {
             }
             let span = token_span(&tokens, m.token_start, m.token_len);
             let entry = self.dictionary.entry(&m);
-            candidates.push(Annotation {
-                surface: m.surface,
-                span,
-                kind: DetectionKind::Entity {
-                    type_code: entry.type_code,
-                    subtype: entry.subtype.clone(),
-                    geo: entry.geo,
-                },
-                score: 0.0,
-                position_frac: span.start as f64 / doc_len,
-            });
+            let kind = DetectionKind::Entity {
+                type_code: entry.type_code,
+                subtype: entry.subtype.clone(),
+                geo: entry.geo,
+            };
+            let stop = stop_only(m.token_start, m.token_len);
+            candidates.push(candidate(span, m.surface, kind, stop));
         }
         let mut detector = ConceptDetector::new(self.units);
         detector.min_score = self.config.concept_min_score;
         // Id-space detection: the unit dictionary already stores each
         // unit's joined surface, so no per-match join is needed and
         // matches dropped by the sentence filter cost nothing.
-        for m in detector.detect_ids(&norm) {
+        for m in detector.detect_projected(&projection) {
             if !same_sentence(m.token_start, m.token_len) {
                 continue;
             }
             let span = token_span(&tokens, m.token_start, m.token_len);
-            candidates.push(Annotation {
-                surface: self.units.surface(m.unit).to_string(),
-                span,
-                kind: DetectionKind::Concept,
-                score: 0.0,
-                position_frac: span.start as f64 / doc_len,
-            });
+            let surface = self.units.surface(m.unit).to_string();
+            let stop = stop_only(m.token_start, m.token_len);
+            candidates.push(candidate(span, surface, DetectionKind::Concept, stop));
         }
 
         // Collision resolution: patterns first, then longer spans, then
         // entities over concepts.
-        candidates.sort_by_key(|a| {
+        candidates.sort_by_key(|(a, _)| {
             (
                 a.span.start,
                 !a.kind.is_pattern(),
@@ -239,28 +242,15 @@ impl<'a> Pipeline<'a> {
                 matches!(a.kind, DetectionKind::Concept),
             )
         });
-        let mut kept: Vec<Annotation> = Vec::new();
-        for c in candidates {
-            if kept.iter().all(|k| !k.span.overlaps(&c.span)) {
-                kept.push(c);
-            }
-        }
-
-        // Filtering.
-        kept.retain(|a| {
-            a.kind.is_pattern()
-                || (a.surface.len() >= self.config.min_surface_chars
-                    && !a.surface.split(' ').all(ctxrank_text::is_stopword))
-        });
+        let mut kept = keep_filtered(candidates, self.config.min_surface_chars);
 
         // Scoring: attach the §II-B concept-vector score to rankable
         // annotations (deduplicated by surface — the vector is per
         // document, not per occurrence).
         let builder = ConceptVectorBuilder::new(self.units, &self.idf, self.config.vector.clone());
-        let vector = builder.build_from_tokens(&norm);
-        let scores: HashMap<&str, f64> = vector
-            .iter()
-            .map(|c| (c.surface.as_str(), c.score))
+        let scores: HashMap<&str, f64, FnvBuildHasher> = builder
+            .build_projected(&norm, &projection)
+            .into_iter()
             .collect();
         for a in &mut kept {
             if !a.kind.is_pattern() {
@@ -289,11 +279,36 @@ fn token_span(tokens: &[ctxrank_text::Token<'_>], start: usize, len: usize) -> S
     }
 }
 
+/// Collision resolution and filtering over start-sorted candidates: keep
+/// each that overlaps no earlier kept one, then drop rankable ones too
+/// short or flagged as only stop-words. Kept spans are disjoint, so the
+/// one reaching furthest decides each collision: a non-empty candidate
+/// collides iff it starts before that span ends, an empty one iff it
+/// lies strictly inside it.
+fn keep_filtered(sorted: Vec<(Annotation, bool)>, min_surface_chars: usize) -> Vec<Annotation> {
+    let mut reach = Span { start: 0, end: 0 };
+    let mut kept = Vec::with_capacity(sorted.len());
+    for (a, stop_only) in sorted {
+        let s = a.span;
+        if s.start < reach.end && (!s.is_empty() || reach.start < s.start) {
+            continue;
+        }
+        if s.end > reach.end {
+            reach = s;
+        }
+        if a.kind.is_pattern() || (a.surface.len() >= min_surface_chars && !stop_only) {
+            kept.push(a);
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dictionary::DictionaryEntry;
     use ctxrank_querylog::{extract_units, QueryLog, UnitConfig};
+    use proptest::prelude::*;
 
     fn t(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -461,5 +476,69 @@ mod tests {
         let doc = p.process("");
         assert!(doc.annotations.is_empty());
         assert!(doc.text.is_empty());
+    }
+
+    /// The quadratic collision scan and surface-splitting filter that
+    /// [`keep_filtered`] replaced.
+    fn keep_filtered_reference(
+        sorted: Vec<Annotation>,
+        min_surface_chars: usize,
+    ) -> Vec<Annotation> {
+        let mut kept: Vec<Annotation> = Vec::new();
+        for c in sorted {
+            if kept.iter().all(|k| !k.span.overlaps(&c.span)) {
+                kept.push(c);
+            }
+        }
+        kept.retain(|a| {
+            a.kind.is_pattern()
+                || (a.surface.len() >= min_surface_chars
+                    && !a.surface.split(' ').all(ctxrank_text::is_stopword))
+        });
+        kept
+    }
+
+    proptest! {
+        /// The one-pass collision and filter equals the reference on
+        /// random start-sorted candidates: empty sets, empty, nested and
+        /// equal-start spans, all three kinds, stop-word-only surfaces.
+        #[test]
+        fn collision_pass_matches_quadratic_reference(
+            raw in prop::collection::vec(
+                (0usize..24, 0usize..7, 0u8..3, prop::collection::vec(0usize..6, 1..4)),
+                0..24,
+            ),
+            min_surface_chars in 0usize..6,
+        ) {
+            const WORDS: [&str; 6] = ["the", "of", "a", "cuba", "human", "x"];
+            let mut candidates: Vec<(Annotation, bool)> = raw
+                .iter()
+                .map(|(start, len, kind, words)| {
+                    let words: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                    let kind = match kind {
+                        0 => DetectionKind::Pattern(PatternType::Email),
+                        1 => DetectionKind::Entity { type_code: 1, subtype: "x".into(), geo: None },
+                        _ => DetectionKind::Concept,
+                    };
+                    // The flag `process` derives from the projection.
+                    let stop_only = words.iter().all(|w| ctxrank_text::is_stopword(w));
+                    let annotation = Annotation {
+                        span: Span { start: *start, end: start + len },
+                        surface: words.join(" "),
+                        kind,
+                        score: 0.0,
+                        position_frac: 0.0,
+                    };
+                    (annotation, stop_only)
+                })
+                .collect();
+            // Stable: candidates sharing a start keep their random order.
+            candidates.sort_by_key(|(a, _)| a.span.start);
+            let want = keep_filtered_reference(
+                candidates.iter().map(|(a, _)| a.clone()).collect(),
+                min_surface_chars,
+            );
+            prop_assert_eq!(keep_filtered(candidates, min_surface_chars), want);
+        }
     }
 }

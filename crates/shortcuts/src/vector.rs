@@ -18,10 +18,15 @@
 //! The resulting score is what the production Contextual Shortcuts used
 //! to rank annotations, and is the baseline every experiment in §V
 //! compares against (weighted error rate 30.22%).
+//!
+//! The builder reads one document's [`Projection`] and keeps only
+//! per-document state: a dense slot per distinct non-stop term, found by
+//! an FNV table on the borrowed token, and the weights of the units that
+//! matched, sorted by unit. It allocates a `String` only per output.
 
-use crate::conceptdet::ConceptDetector;
-use ctxrank_index::TermVector;
+use crate::conceptdet::{ConceptDetector, Projection};
 use ctxrank_querylog::UnitDictionary;
+use ctxrank_text::{FnvBuildHasher, TermId};
 use std::collections::HashMap;
 
 /// Thresholds for the §II-B merge.
@@ -75,6 +80,15 @@ pub struct ScoredConcept {
     pub score: f64,
 }
 
+/// One distinct non-stop term of a document: its unit-interner id, tf,
+/// and tf·idf weight (then normalized and punished).
+struct TermSlot<'t> {
+    term: &'t str,
+    id: Option<TermId>,
+    tf: usize,
+    weight: f64,
+}
+
 /// Builds concept vectors for documents.
 pub struct ConceptVectorBuilder<'a> {
     units: &'a UnitDictionary,
@@ -112,115 +126,143 @@ impl<'a> ConceptVectorBuilder<'a> {
         self.build_from_tokens(&tokens)
     }
 
-    /// Generate the concept vector from pre-normalized tokens.
+    /// Generate the concept vector from pre-normalized tokens. Returns
+    /// concepts sorted by descending score, ties by surface.
     pub fn build_from_tokens(&self, tokens: &[String]) -> Vec<ScoredConcept> {
-        // 1. Term vector: tf·idf over non-stop-words, normalized,
-        //    punished, pruned.
-        let mut counts: HashMap<&str, usize> = HashMap::new();
-        for t in tokens {
-            if !ctxrank_text::is_stopword(t) {
-                *counts.entry(t).or_insert(0) += 1;
-            }
-        }
-        let mut term_vec = TermVector::new();
-        for (t, &c) in &counts {
-            term_vec.set(*t, ctxrank_index::tf_idf_weight(c, (self.idf)(t)));
-        }
-        term_vec.normalize_max();
-        term_vec.punish_and_prune(
-            self.config.term_punish_threshold,
-            self.config.term_punish_factor,
-            self.config.term_drop_below,
-        );
-
-        // 2. Unit vector: units found in the document, with their scores,
-        //    normalized/punished/pruned. Kept dense over unit indices —
-        //    no surface string is built or hashed per match.
-        let mut detector = ConceptDetector::new(self.units);
-        detector.min_score = self.config.detector_min_score;
-        let mut unit_w: Vec<f64> = vec![0.0; self.units.len()];
-        let mut matched: Vec<u32> = Vec::new();
-        for m in detector.detect_ids(tokens) {
-            let w = &mut unit_w[m.unit as usize];
-            if *w == 0.0 {
-                matched.push(m.unit);
-            }
-            *w = w.max(m.unit_score);
-        }
-        matched.sort_unstable();
-        let max = matched
-            .iter()
-            .fold(0.0f64, |a, &u| a.max(unit_w[u as usize]));
-        if max > 0.0 {
-            for &u in &matched {
-                unit_w[u as usize] /= max;
-            }
-        }
-        matched.retain(|&u| {
-            let w = &mut unit_w[u as usize];
-            if *w < self.config.unit_punish_threshold {
-                *w *= self.config.unit_punish_factor;
-            }
-            if *w < self.config.unit_drop_below {
-                *w = 0.0;
-                false
-            } else {
-                true
-            }
+        let mut vector = self.build_projected(tokens, &Projection::new(self.units, tokens));
+        // Surfaces are unique, so no two entries compare equal.
+        vector.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(b.0))
         });
-        // Weight of the single-term unit whose surface is `term`, zero
-        // when none survives (the dense analogue of probing the old
-        // string-keyed unit vector with a one-word surface).
-        let single_unit_w = |term: &str| -> f64 {
-            self.units
-                .interner()
-                .get(term)
-                .and_then(|id| self.units.single_unit(id))
-                .map_or(0.0, |u| unit_w[u as usize])
+        vector
+            .into_iter()
+            .map(|(surface, score)| ScoredConcept {
+                surface: surface.to_string(),
+                score,
+            })
+            .collect()
+    }
+
+    /// The concept vector of `tokens`, projected as `p`, as unsorted
+    /// `(surface, score)` pairs borrowing each surface from `tokens` or
+    /// from the unit dictionary.
+    pub(crate) fn build_projected<'t>(
+        &self,
+        tokens: &'t [String],
+        p: &Projection,
+    ) -> Vec<(&'t str, f64)>
+    where
+        'a: 't,
+    {
+        let cfg = &self.config;
+        let units: &'a UnitDictionary = self.units;
+
+        // 1. Term vector: tf·idf over non-stop-words, normalized,
+        //    punished, pruned. One slot per distinct term.
+        let mut slot_of: HashMap<&'t str, usize, FnvBuildHasher> =
+            HashMap::with_capacity_and_hasher(tokens.len(), FnvBuildHasher::default());
+        let mut terms: Vec<TermSlot<'t>> = Vec::with_capacity(tokens.len());
+        for (i, token) in tokens.iter().enumerate() {
+            if p.stop[i] {
+                continue;
+            }
+            let slot = *slot_of.entry(token).or_insert_with(|| {
+                terms.push(TermSlot {
+                    term: token,
+                    id: p.ids[i],
+                    tf: 0,
+                    weight: 0.0,
+                });
+                terms.len() - 1
+            });
+            terms[slot].tf += 1;
+        }
+        for t in &mut terms {
+            t.weight = ctxrank_index::tf_idf_weight(t.tf, (self.idf)(t.term));
+        }
+        let max = terms.iter().fold(0.0f64, |a, t| a.max(t.weight));
+        for t in &mut terms {
+            if max > 0.0 {
+                t.weight /= max;
+            }
+            if t.weight < cfg.term_punish_threshold {
+                t.weight *= cfg.term_punish_factor;
+            }
+        }
+        // Pruning: the term vector holds the slots that pass `kept`.
+        let kept = |t: &&TermSlot| t.weight >= cfg.term_drop_below;
+        let kept_term = |term: &str| slot_of.get(term).map(|&s| &terms[s]).filter(kept);
+
+        // 2. Unit vector: units found in the document with their best
+        //    score, normalized/punished/pruned. Sorted by unit index.
+        let mut detector = ConceptDetector::new(units);
+        detector.min_score = cfg.detector_min_score;
+        let mut unit_w: Vec<(u32, f64)> = detector
+            .detect_projected(p)
+            .into_iter()
+            .map(|m| (m.unit, m.unit_score))
+            .collect();
+        unit_w.sort_unstable_by_key(|&(u, _)| u);
+        unit_w.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.max(next.1);
+            }
+            same
+        });
+        let max = unit_w.iter().fold(0.0f64, |a, &(_, w)| a.max(w));
+        unit_w.retain_mut(|(_, w)| {
+            if max > 0.0 {
+                *w /= max;
+            }
+            if *w < cfg.unit_punish_threshold {
+                *w *= cfg.unit_punish_factor;
+            }
+            *w >= cfg.unit_drop_below
+        });
+        // Weight of the single-term unit for interner id `id`, zero when
+        // none survives.
+        let single_unit_w = |id: Option<TermId>| -> f64 {
+            id.and_then(|id| units.single_unit(id))
+                .and_then(|u| unit_w.binary_search_by_key(&u, |&(v, _)| v).ok())
+                .map_or(0.0, |i| unit_w[i].1)
         };
 
         // 3. Merge into the concept vector.
-        let mut merged: HashMap<&str, f64> = HashMap::new();
-        for (term, w) in term_vec.iter() {
-            let unit_weight = single_unit_w(term);
-            if unit_weight > 0.0 {
+        let mut out: Vec<(&'t str, f64)> = Vec::with_capacity(terms.len() + unit_w.len());
+        for t in terms.iter().filter(kept) {
+            let unit_weight = single_unit_w(t.id);
+            out.push(if unit_weight > 0.0 {
                 // Case 3: in both — sum the weights.
-                merged.insert(term, w + unit_weight);
+                (t.term, t.weight + unit_weight)
             } else {
                 // Case 1: term only — punish.
-                merged.insert(term, w * self.config.unmatched_term_factor);
-            }
+                (t.term, t.weight * cfg.unmatched_term_factor)
+            });
         }
-        for &u in &matched {
-            // Case 2: unit only — add with its unit weight.
-            merged
-                .entry(self.units.surface(u))
-                .or_insert(unit_w[u as usize]);
+        for &(u, w) in &unit_w {
+            // Case 2: unit only — add with its unit weight. A unit whose
+            // surface is a kept term was merged above.
+            let surface = units.surface(u);
+            if kept_term(surface).is_none() {
+                out.push((surface, w));
+            }
         }
 
         // 4. Multi-term bonus: add each constituent term's unit- and
         //    term-vector scores.
-        let mut out: Vec<ScoredConcept> = merged
-            .iter()
-            .map(|(surface, &base)| {
-                let mut score = base;
-                if self.config.multiterm_bonus && surface.contains(' ') {
-                    for p in surface.split(' ') {
-                        score += term_vec.get(p) + single_unit_w(p);
+        if cfg.multiterm_bonus {
+            for (surface, score) in &mut out {
+                if surface.contains(' ') {
+                    for part in surface.split(' ') {
+                        *score += kept_term(part).map_or(0.0, |t| t.weight)
+                            + single_unit_w(units.interner().get(part));
                     }
                 }
-                ScoredConcept {
-                    surface: surface.to_string(),
-                    score,
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.surface.cmp(&b.surface))
-        });
+            }
+        }
         out
     }
 

@@ -6,11 +6,12 @@
 //! `HashMap<String, Unit>`. The interned rewrite walks a `PhraseTrie`
 //! over term ids instead. These properties prove the two strategies are
 //! result-identical on arbitrary token streams — same spans, same
-//! surfaces, bit-identical scores — and that detection is independent of
-//! the worker-pool thread count.
+//! surfaces (`UnitDictionary::surface` of the matched unit), bit-identical
+//! scores — and that detection is independent of the worker-pool thread
+//! count.
 
 use ctxrank_querylog::{extract_units, QueryLog, UnitConfig, UnitDictionary};
-use ctxrank_shortcuts::{ConceptDetector, ConceptMatch};
+use ctxrank_shortcuts::ConceptDetector;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -60,6 +61,15 @@ fn to_tokens(indices: &[usize]) -> Vec<String> {
     indices.iter().map(|&i| words[i].to_string()).collect()
 }
 
+/// One detection of the reference scan.
+#[derive(Debug)]
+struct RefMatch {
+    token_start: usize,
+    token_len: usize,
+    surface: String,
+    unit_score: f64,
+}
+
 /// The legacy detector: longest-window-first probing of a
 /// `HashMap<String, f64>` keyed by space-joined surfaces.
 fn detect_reference(
@@ -68,7 +78,7 @@ fn detect_reference(
     min_score: f64,
     max_terms: usize,
     allow_single: bool,
-) -> Vec<ConceptMatch> {
+) -> Vec<RefMatch> {
     let by_surface: HashMap<String, f64> =
         dict.iter().map(|u| (u.terms.join(" "), u.score)).collect();
     let shortest = if allow_single { 1 } else { 2 };
@@ -95,7 +105,7 @@ fn detect_reference(
         }
         match matched {
             Some((len, surface, unit_score)) => {
-                out.push(ConceptMatch {
+                out.push(RefMatch {
                     token_start: i,
                     token_len: len,
                     surface,
@@ -124,36 +134,32 @@ proptest! {
         let mut det = ConceptDetector::new(&u);
         det.min_score = min_score;
         det.allow_single = allow_single;
-        let got = det.detect(&tokens);
+        let got = det.detect_ids(&tokens);
         let want = detect_reference(&u, &tokens, min_score, det.max_terms, allow_single);
         prop_assert_eq!(got.len(), want.len(), "match counts differ");
         for (g, w) in got.iter().zip(&want) {
             prop_assert_eq!(g.token_start, w.token_start);
             prop_assert_eq!(g.token_len, w.token_len);
-            prop_assert_eq!(&g.surface, &w.surface);
+            prop_assert_eq!(u.surface(g.unit), w.surface.as_str());
             // Scores travel different paths (trie payload vs HashMap
             // value) but originate from the same unit: bit-identical.
             prop_assert_eq!(g.unit_score.to_bits(), w.unit_score.to_bits());
         }
     }
 
-    /// `detect_ids` is `detect` minus the surface join: the unit index it
-    /// reports resolves to exactly the joined token window.
+    /// The unit index `detect_ids` reports resolves to exactly the joined
+    /// token window, and carries that unit's score.
     #[test]
     fn detect_ids_surfaces_resolve(indices in token_indices()) {
         let tokens = to_tokens(&indices);
         let u = units();
         let det = ConceptDetector::new(&u);
-        let ids = det.detect_ids(&tokens);
-        let full = det.detect(&tokens);
-        prop_assert_eq!(ids.len(), full.len());
-        for (m, f) in ids.iter().zip(&full) {
-            prop_assert_eq!(u.surface(m.unit), f.surface.as_str());
+        for m in det.detect_ids(&tokens) {
             prop_assert_eq!(
                 u.surface(m.unit),
                 tokens[m.token_start..m.token_start + m.token_len].join(" ")
             );
-            prop_assert_eq!(m.unit_score.to_bits(), f.unit_score.to_bits());
+            prop_assert_eq!(m.unit_score.to_bits(), u.unit(m.unit).score.to_bits());
         }
     }
 
@@ -166,10 +172,9 @@ proptest! {
         let docs: Vec<Vec<String>> = doc_indices.iter().map(|d| to_tokens(d)).collect();
         let u = units();
         let det = ConceptDetector::new(&u);
-        let serial: Vec<Vec<ConceptMatch>> =
-            docs.iter().map(|d| det.detect(d)).collect();
+        let serial: Vec<Vec<_>> = docs.iter().map(|d| det.detect_ids(d)).collect();
         for threads in [1usize, 2, 3, 8] {
-            let parallel = ctxrank_parallel::par_map(threads, &docs, |d| det.detect(d));
+            let parallel = ctxrank_parallel::par_map(threads, &docs, |d| det.detect_ids(d));
             prop_assert_eq!(&serial, &parallel, "threads={}", threads);
         }
     }

@@ -10,6 +10,36 @@
 //! allocation per probe.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// 64-bit FNV-1a, the [`Interner`]'s hasher. It has no defence against
+/// keys crafted to collide, and needs none where keys are inserted only
+/// by offline builds: a probe with hostile bytes cannot lengthen a chain.
+pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for FnvHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let prime = 0x0000_0100_0000_01b3;
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(prime));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`FnvHasher`]s: `HashMap<K, V, FnvBuildHasher>`.
+pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 /// A dense term id, valid within the [`Interner`] that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,7 +56,7 @@ impl TermId {
 /// Maps terms to dense [`TermId`]s and back.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    ids: HashMap<Box<str>, TermId>,
+    ids: HashMap<Box<str>, TermId, FnvBuildHasher>,
     terms: Vec<Box<str>>,
 }
 

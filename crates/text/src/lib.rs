@@ -30,7 +30,7 @@ pub mod trie;
 pub mod window;
 
 pub use html::strip_html;
-pub use intern::{Interner, TermId};
+pub use intern::{FnvBuildHasher, FnvHasher, Interner, TermId};
 pub use segment::{paragraphs, sentences, Span};
 pub use stem::stem;
 pub use stopwords::is_stopword;
