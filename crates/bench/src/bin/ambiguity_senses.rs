@@ -11,7 +11,7 @@
 
 use ctxrank_features::{MiningResource, RelevanceModel, RelevanceModelBuilder, SenseConfig};
 use ctxrank_synth::{SynthWorld, WorldConfig};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn main() {
     let world = SynthWorld::generate(WorldConfig::default());
@@ -23,16 +23,17 @@ fn main() {
     // get the same per-sense budget.
     builder.m = 20;
 
-    // Ambiguous surfaces: one surface shared by concepts in >= 2 topics.
-    let mut by_surface: HashMap<String, Vec<&ctxrank_synth::ConceptSpec>> = HashMap::new();
+    // Ambiguous surfaces: one surface shared by concepts in >= 2 topics,
+    // walked in surface order so the rows and the two means repeat
+    // bit for bit across processes.
+    let mut by_surface: BTreeMap<String, Vec<&ctxrank_synth::ConceptSpec>> = BTreeMap::new();
     for c in world.universe.all() {
         by_surface.entry(c.surface()).or_default().push(c);
     }
     let ambiguous: Vec<(&String, &Vec<&ctxrank_synth::ConceptSpec>)> = by_surface
         .iter()
         .filter(|(_, specs)| {
-            let topics: std::collections::HashSet<_> =
-                specs.iter().filter_map(|s| s.topic).collect();
+            let topics: BTreeSet<_> = specs.iter().filter_map(|s| s.topic).collect();
             topics.len() >= 2
         })
         .collect();

@@ -192,6 +192,18 @@ impl ByteSlab {
             len,
         })
     }
+
+    /// The bytes as an owned, growable vector; an arena view is copied
+    /// out once.
+    pub(crate) fn to_mut(&mut self) -> &mut Vec<u8> {
+        if let ByteSlab::Arena { .. } = self {
+            *self = ByteSlab::Owned(self.to_vec());
+        }
+        match self {
+            ByteSlab::Owned(v) => v,
+            ByteSlab::Arena { .. } => unreachable!("converted to owned above"),
+        }
+    }
 }
 
 impl Deref for ByteSlab {
@@ -247,6 +259,17 @@ impl U32Slab {
             off,
             len: len_bytes / 4,
         })
+    }
+
+    /// [`ByteSlab::to_mut`] for `u32`s.
+    fn to_mut(&mut self) -> &mut Vec<u32> {
+        if let U32Slab::Arena { .. } = self {
+            *self = U32Slab::Owned(self.to_vec());
+        }
+        match self {
+            U32Slab::Owned(v) => v,
+            U32Slab::Arena { .. } => unreachable!("converted to owned above"),
+        }
     }
 }
 
@@ -315,37 +338,55 @@ impl StrTable {
     /// Build an owned table. When the same key appears twice, lookup
     /// resolves to the *last* occurrence (matching `HashMap::insert`).
     pub(crate) fn build<'a, I: IntoIterator<Item = &'a str>>(keys: I) -> Self {
-        let keys: Vec<&'a str> = keys.into_iter().collect();
-        let mut offsets = Vec::with_capacity(keys.len() + 1);
-        offsets.push(0u32);
-        let mut blob = Vec::new();
-        for k in &keys {
+        let mut table = Self {
+            offsets: U32Slab::Owned(vec![0]),
+            slots: U32Slab::Owned(Vec::new()),
+            blob: ByteSlab::Owned(Vec::new()),
+        };
+        table.extend(keys);
+        table
+    }
+
+    /// Append `keys` after the stored strings. The result is
+    /// byte-identical to [`Self::build`] over the old keys followed by
+    /// the new ones: keys enter the slot table in index order either
+    /// way, so while the slot capacity holds only the new keys are
+    /// hashed, and when it doubles every key is re-inserted in order.
+    pub(crate) fn extend<'a, I: IntoIterator<Item = &'a str>>(&mut self, keys: I) {
+        let first = self.len();
+        let offsets = self.offsets.to_mut();
+        let blob = self.blob.to_mut();
+        for k in keys {
             blob.extend_from_slice(k.as_bytes());
             offsets.push(u32::try_from(blob.len()).expect("string table blob exceeds 4 GiB"));
         }
-        let cap = (keys.len().max(1) * 2).next_power_of_two();
+        let count = offsets.len() - 1;
+        let cap = (count.max(1) * 2).next_power_of_two();
+        let slots = self.slots.to_mut();
+        let from = if slots.len() == cap {
+            first
+        } else {
+            *slots = vec![0; cap];
+            0
+        };
+        let key = |i: usize| &blob[offsets[i] as usize..offsets[i + 1] as usize];
         let mask = cap - 1;
-        let mut slots = vec![0u32; cap];
-        for (i, k) in keys.iter().enumerate() {
-            let mut pos = (fnv1a(k.as_bytes()) as usize) & mask;
+        for i in from..count {
+            let k = key(i);
+            let mut pos = (fnv1a(k) as usize) & mask;
             loop {
                 match slots[pos] {
                     0 => {
                         slots[pos] = i as u32 + 1;
                         break;
                     }
-                    v if keys[(v - 1) as usize] == *k => {
+                    v if key((v - 1) as usize) == k => {
                         slots[pos] = i as u32 + 1;
                         break;
                     }
                     _ => pos = (pos + 1) & mask,
                 }
             }
-        }
-        Self {
-            offsets: U32Slab::Owned(offsets),
-            slots: U32Slab::Owned(slots),
-            blob: ByteSlab::Owned(blob),
         }
     }
 
@@ -651,7 +692,7 @@ pub(crate) fn decode(buf: Arc<AlignedBuf>) -> Result<DecodedArena, String> {
         *q = FieldQuantizer { lo, hi };
     }
     let interest = PackedInterestStore {
-        names,
+        names: Arc::new(names),
         data,
         quantizers,
     };
@@ -701,6 +742,7 @@ pub(crate) fn decode(buf: Arc<AlignedBuf>) -> Result<DecodedArena, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn str_table_lookup_hit_and_miss() {
@@ -735,6 +777,90 @@ mod tests {
         let t = StrTable::build(["", "x"]);
         assert_eq!(t.lookup(""), Some(0));
         assert_eq!(t.str_at(0), "");
+    }
+
+    /// Keys from a small alphabet, so duplicates (last wins) and slot
+    /// collisions are common.
+    fn keys_of(raw: &[(u8, u8)]) -> Vec<String> {
+        raw.iter()
+            .map(|&(a, b)| match b % 4 {
+                0 => String::new(),
+                1 => format!("k{a}"),
+                2 => format!("k{a} k{}", b % 7),
+                _ => format!("ü{}", a % 9),
+            })
+            .collect()
+    }
+
+    fn assert_same_table(a: &StrTable, b: &StrTable) {
+        assert_eq!(a.offsets(), b.offsets());
+        assert_eq!(a.slots(), b.slots());
+        assert_eq!(a.blob(), b.blob());
+    }
+
+    proptest! {
+        #[test]
+        fn str_table_extend_matches_build(
+            base in prop::collection::vec((0u8..40, 0u8..=255), 0..40),
+            more in prop::collection::vec((0u8..40, 0u8..=255), 0..40),
+        ) {
+            let (base, more) = (keys_of(&base), keys_of(&more));
+            let mut extended = StrTable::build(base.iter().map(String::as_str));
+            extended.extend(more.iter().map(String::as_str));
+            let all: Vec<&str> = base.iter().chain(&more).map(String::as_str).collect();
+            let built = StrTable::build(all.iter().copied());
+            assert_same_table(&extended, &built);
+            // Every key looks up to its (last) index.
+            for (i, k) in all.iter().enumerate() {
+                let last = all.iter().rposition(|x| x == k).expect("present");
+                prop_assert_eq!(extended.lookup(k), Some(last as u32), "key {} at {}", k, i);
+            }
+        }
+    }
+
+    #[test]
+    fn str_table_extend_edge_cases() {
+        // Empty extension, empty base, and extensions that cross every
+        // slot-capacity doubling up to 64 keys, one key at a time.
+        let mut t = StrTable::build(["a", "b"]);
+        t.extend(std::iter::empty());
+        assert_same_table(&t, &StrTable::build(["a", "b"]));
+        let mut t = StrTable::default();
+        t.extend(["x", "y", "z"]);
+        assert_same_table(&t, &StrTable::build(["x", "y", "z"]));
+        let keys: Vec<String> = (0..64).map(|i| format!("key {i}")).collect();
+        let mut grown = StrTable::default();
+        for (n, k) in keys.iter().enumerate() {
+            let before = grown.slots().len();
+            grown.extend([k.as_str()]);
+            assert_same_table(
+                &grown,
+                &StrTable::build(keys[..=n].iter().map(String::as_str)),
+            );
+            if grown.slots().len() != before {
+                assert_eq!(grown.slots().len(), 2 * before, "doubled at {n}");
+            }
+        }
+        assert_eq!(grown.slots().len(), 128);
+        // An arena-backed table extends into an owned one.
+        let base = StrTable::build(["solar flares", "oil"]);
+        let mut file = u32s_to_bytes(base.offsets());
+        let slots_off = file.len();
+        file.extend_from_slice(&u32s_to_bytes(base.slots()));
+        let blob_off = file.len();
+        file.extend_from_slice(base.blob());
+        let buf = Arc::new(AlignedBuf::from_bytes(&file));
+        let mut viewed = StrTable::from_parts(
+            U32Slab::arena(&buf, 0, slots_off).expect("offsets"),
+            U32Slab::arena(&buf, slots_off, blob_off - slots_off).expect("slots"),
+            ByteSlab::arena(&buf, blob_off, file.len() - blob_off).expect("blob"),
+        )
+        .expect("valid parts");
+        viewed.extend(["meteor shower"]);
+        assert_same_table(
+            &viewed,
+            &StrTable::build(["solar flares", "oil", "meteor shower"]),
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod swap;
 pub mod tid;
 
 pub use compressed::CompressedRelevanceStore;
-pub use delta::{DeltaError, DeltaSnapshot, FrozenParts, SnapshotProjector, SurfaceAdd};
+pub use delta::{DeltaError, DeltaSnapshot, FrozenParts, RowAdds, SnapshotProjector, SurfaceAdd};
 pub use golomb::{golomb_decode, golomb_encode, optimal_rice_parameter};
 pub use memory::MemoryReport;
 pub use online::{OnlineConfig, OnlineCtrAdjuster};

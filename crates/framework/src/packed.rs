@@ -7,9 +7,17 @@
 //! million concepts would cost 18MB in memory; with the use of efficient
 //! data structures, such as hash tables, the vectors for the detected
 //! concepts can be retrieved in constant time."
+//!
+//! The paper fits the quantizers once, offline. A delta publish fits
+//! them again for every epoch, so [`PackedInterestStore::update`] does
+//! the incremental version: the quantizers are refitted over all rows,
+//! but only the rows a delta touched, the rows it appended and the
+//! fields whose quantizer moved are quantized again. The result is
+//! byte-identical to a full build over the same rows in the same order.
 
 use crate::arena::{ByteSlab, StrTable};
 use ctxrank_features::InterestFeatures;
+use std::sync::Arc;
 
 /// Bytes used per concept (9 fields × 2 bytes).
 pub const BYTES_PER_CONCEPT: usize = InterestFeatures::DIM * 2;
@@ -37,6 +45,24 @@ impl FieldQuantizer {
             lo = lo.min(v);
             hi = hi.max(v);
         }
+        Self::observed(lo, hi)
+    }
+
+    /// [`Self::fit`] of every field over dense rows, in one pass: the
+    /// same `min`/`max` sequence per field, so the same quantizers.
+    fn fit_rows(rows: &[[f64; InterestFeatures::DIM]]) -> [Self; InterestFeatures::DIM] {
+        let mut lo = [f64::INFINITY; InterestFeatures::DIM];
+        let mut hi = [f64::NEG_INFINITY; InterestFeatures::DIM];
+        for row in rows {
+            for d in 0..InterestFeatures::DIM {
+                lo[d] = lo[d].min(row[d]);
+                hi[d] = hi[d].max(row[d]);
+            }
+        }
+        std::array::from_fn(|d| Self::observed(lo[d], hi[d]))
+    }
+
+    fn observed(lo: f64, hi: f64) -> Self {
         if !lo.is_finite() {
             // No values: a degenerate quantizer.
             return Self { lo: 0.0, hi: 0.0 };
@@ -62,10 +88,11 @@ impl FieldQuantizer {
 /// The packed per-concept feature store. Concept `i` (dense slot order
 /// = build order) owns bytes `i*18..(i+1)*18` of `data`; the surface →
 /// slot index is a [`StrTable`], so an arena-loaded store is a pure
-/// view into the snapshot buffer.
+/// view into the snapshot buffer. The table sits behind an `Arc`, so
+/// successive delta epochs that admit no surface share one copy.
 #[derive(Debug, Clone)]
 pub struct PackedInterestStore {
-    pub(crate) names: StrTable,
+    pub(crate) names: Arc<StrTable>,
     /// 18 bytes per concept, contiguous.
     pub(crate) data: ByteSlab,
     pub(crate) quantizers: [FieldQuantizer; InterestFeatures::DIM],
@@ -96,9 +123,57 @@ impl PackedInterestStore {
             }
         }
         Self {
-            names: StrTable::build(surfaces),
+            names: Arc::new(StrTable::build(surfaces)),
             data: ByteSlab::Owned(data),
             quantizers,
+        }
+    }
+
+    /// Bring the store in line with `rows`, the dense rows of every
+    /// concept in row order, after the rows in `touched` changed and
+    /// the concepts `admitted` were appended as rows `self.len()..`.
+    ///
+    /// The result is byte-identical to [`Self::build_borrowed`] over
+    /// the same rows. The quantizers are refitted over all rows, one
+    /// min/max scan. A field whose quantizer moved is quantized again
+    /// in every row; every other field only in the touched and appended
+    /// rows, because its quantizer and the other rows' values are the
+    /// same as before.
+    pub(crate) fn update(
+        &mut self,
+        rows: &[[f64; InterestFeatures::DIM]],
+        touched: &[u32],
+        admitted: &[&str],
+    ) {
+        let first_new = self.len();
+        if !admitted.is_empty() {
+            Arc::make_mut(&mut self.names).extend(admitted.iter().copied());
+        }
+        assert_eq!(self.names.len(), rows.len(), "one row per stored concept");
+        let quantizers = FieldQuantizer::fit_rows(rows);
+        let moved: Vec<usize> = (0..InterestFeatures::DIM)
+            .filter(|&d| quantizers[d] != self.quantizers[d])
+            .collect();
+        self.quantizers = quantizers;
+
+        let data = self.data.to_mut();
+        data.resize(rows.len() * BYTES_PER_CONCEPT, 0);
+        let put = |cell: &mut [u8], row: &[f64; InterestFeatures::DIM], d: usize| {
+            cell[d * 2..d * 2 + 2].copy_from_slice(&quantizers[d].quantize(row[d]).to_le_bytes());
+        };
+        if !moved.is_empty() {
+            for (cell, row) in data.chunks_exact_mut(BYTES_PER_CONCEPT).zip(rows) {
+                for &d in &moved {
+                    put(cell, row, d);
+                }
+            }
+        }
+        let changed = touched.iter().map(|&i| i as usize);
+        for i in changed.chain(first_new..rows.len()) {
+            let cell = &mut data[i * BYTES_PER_CONCEPT..(i + 1) * BYTES_PER_CONCEPT];
+            for d in 0..InterestFeatures::DIM {
+                put(cell, &rows[i], d);
+            }
         }
     }
 

@@ -189,7 +189,7 @@ pub fn partition_snapshot(
             data.extend_from_slice(&interest.data[base..base + BYTES_PER_CONCEPT]);
         }
         let shard_interest = PackedInterestStore {
-            names,
+            names: Arc::new(names),
             data: ByteSlab::Owned(data),
             // Global quantizers, verbatim: dequantized features must be
             // bit-identical to the full store's.

@@ -118,6 +118,18 @@ impl ServiceHandle {
         self.adjuster.write().record(surface, views, clicks);
     }
 
+    /// Feed several surfaces' feedback under one adjuster write lock,
+    /// so a reader batch sees all of it or none of it.
+    pub(crate) fn record_feedback_batch<'a>(
+        &self,
+        batch: impl IntoIterator<Item = (&'a str, u64, u64)>,
+    ) {
+        let mut adjuster = self.adjuster.write();
+        for (surface, views, clicks) in batch {
+            adjuster.record(surface, views, clicks);
+        }
+    }
+
     /// Rank-annotated feedback: clicks observed at `rank` enter the
     /// adjuster re-weighted by the installed propensity table (naive
     /// weighting when none is installed).
