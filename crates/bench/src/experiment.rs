@@ -101,14 +101,6 @@ impl Experiment {
         Self::build_with_threads(config, ctxrank_parallel::num_threads())
     }
 
-    /// Sequential reference build. Produces byte-identical output to
-    /// [`Experiment::build`] at any thread count: the parallel stages
-    /// run the same per-item closures and collect by input index, so
-    /// ordering never depends on scheduling.
-    pub fn build_serial(config: ExperimentConfig) -> Self {
-        Self::build_with_threads(config, 1)
-    }
-
     /// Run the full offline pipeline on `threads` workers by composing
     /// the typed stages: [`WorldStage`] → [`MiningStage`] →
     /// [`FeatureStage`]. ([`crate::stages::TrainStage`] and
@@ -118,8 +110,11 @@ impl Experiment {
     /// Inside the stages, four independent loops fan out across the
     /// workers: per-story annotation, per-surface interestingness
     /// features, the three mining-resource relevance models, and
-    /// per-story window/item assembly.
-    pub fn build_with_threads(config: ExperimentConfig, threads: usize) -> Self {
+    /// per-story window/item assembly. Output is byte-identical at any
+    /// thread count: the parallel stages run the same per-item closures
+    /// and collect by input index, so ordering never depends on
+    /// scheduling.
+    pub(crate) fn build_with_threads(config: ExperimentConfig, threads: usize) -> Self {
         let world = WorldStage::run(&config);
         let mining = MiningStage::run(&config, &world, threads);
         let features = FeatureStage::run(&config, &world, &mining, threads);
@@ -230,6 +225,46 @@ mod tests {
             rel_mean > irr_mean,
             "snippet relevance should separate relevant ({rel_mean}) from irrelevant ({irr_mean})"
         );
+    }
+
+    /// The parallel build must be indistinguishable from the sequential
+    /// reference build: same dataset, same stats, same metrics.
+    #[test]
+    fn parallel_build_is_identical_to_serial() {
+        let serial = Experiment::build_with_threads(ExperimentConfig::small(11), 1);
+        let parallel = Experiment::build_with_threads(ExperimentConfig::small(11), 4);
+
+        assert_eq!(
+            serial.stats.stories_generated,
+            parallel.stats.stories_generated
+        );
+        assert_eq!(serial.stats.stories_kept, parallel.stats.stories_kept);
+        assert_eq!(serial.stats.windows, parallel.stats.windows);
+        assert_eq!(
+            serial.stats.concept_instances,
+            parallel.stats.concept_instances
+        );
+        assert_eq!(serial.stats.total_clicks, parallel.stats.total_clicks);
+
+        // Every group, item, feature vector and label — not just counts.
+        assert_eq!(serial.dataset.groups, parallel.dataset.groups);
+
+        // And a downstream metric computed from each dataset agrees exactly.
+        let a = crate::evaluate_fixed(&serial.dataset, |i| i.baseline_score);
+        let b = crate::evaluate_fixed(&parallel.dataset, |i| i.baseline_score);
+        assert_eq!(a.ndcg, b.ndcg);
+        assert_eq!(a.weighted_error, b.weighted_error);
+        assert_eq!(a.error, b.error);
+    }
+
+    #[test]
+    fn default_build_matches_serial_under_env_override() {
+        // `build` picks its worker count from the environment/machine; it
+        // must still be the same experiment.
+        let serial = Experiment::build_with_threads(ExperimentConfig::small(12), 1);
+        let auto = Experiment::build(ExperimentConfig::small(12));
+        assert_eq!(serial.dataset.groups, auto.dataset.groups);
+        assert_eq!(serial.stats.total_clicks, auto.stats.total_clicks);
     }
 
     #[test]

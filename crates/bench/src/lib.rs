@@ -1,4 +1,5 @@
-//! Experiment harness: everything the per-table binaries share.
+//! Experiment harness: everything the `reproduce` binary and the
+//! repo benchmark share.
 //!
 //! [`Experiment::build`] assembles the full §III pipeline over a
 //! `SynthWorld`: unit extraction, the entity dictionary, the Shortcuts
@@ -12,8 +13,6 @@
 pub mod dataset;
 pub mod debias;
 pub mod experiment;
-pub mod loopback;
-pub mod openloop;
 pub mod production;
 pub mod rankers;
 pub mod report;
@@ -22,14 +21,6 @@ pub mod stages;
 pub use dataset::{Dataset, Item, WindowGroup};
 pub use debias::{run_debias_experiment, DebiasConfig, DebiasReport};
 pub use experiment::{Experiment, ExperimentConfig};
-pub use loopback::{
-    drive_loopback_pass, loopback_config, loopback_workload, LoopbackWorkload, LOOPBACK_CLIENTS,
-    LOOPBACK_DOC_BYTES, LOOPBACK_REQUESTS_PER_CLIENT,
-};
-pub use openloop::{
-    max_sustainable_rps, openloop_bodies, openloop_server_config, run_open_loop, OpenLoopConfig,
-    OpenLoopReport,
-};
 pub use production::{build_projector, build_runtime_ranker, build_snapshot};
 pub use rankers::{evaluate_fixed, evaluate_learned, EvalResult, FeatureSet};
 pub use report::{fmt_pct, print_table};

@@ -16,8 +16,6 @@ pub enum FeatureSet {
     InterestWithout(&'static str),
     /// Interestingness + the relevance score from one resource (Table V).
     InterestPlusRelevance(MiningResource),
-    /// A single interestingness dimension (diagnostics).
-    SingleInterest(usize),
 }
 
 impl FeatureSet {
@@ -39,7 +37,6 @@ impl FeatureSet {
                 v.push(item.relevance_for(*r));
                 v
             }
-            FeatureSet::SingleInterest(d) => vec![item.interest[*d]],
         }
     }
 }
@@ -53,13 +50,6 @@ pub struct EvalResult {
     pub error: f64,
     /// NDCG@1, @2, @3 (Eq. 6 gains).
     pub ndcg: [f64; 3],
-}
-
-impl EvalResult {
-    /// Weighted error rate as a percentage.
-    pub fn wer_pct(&self) -> f64 {
-        self.weighted_error * 100.0
-    }
 }
 
 /// Evaluate a fixed (training-free) scorer over the whole dataset.

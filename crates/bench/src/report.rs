@@ -1,4 +1,4 @@
-//! Console reporting helpers shared by the experiment binaries.
+//! Console reporting helpers shared by the `reproduce` entries.
 
 use crate::rankers::EvalResult;
 

@@ -30,10 +30,10 @@
 //!   different prefixes of the log.
 //!
 //! The stages preserve the monolith's exact computation order, so
-//! `Experiment::build` / `build_serial` remain bit-identical to the
-//! pre-decomposition pipeline at every thread count: parallel loops
-//! still collect by input index and every cross-surface pass walks
-//! surfaces in sorted order.
+//! `Experiment::build` remains bit-identical to the pre-decomposition
+//! pipeline at every thread count: parallel loops still collect by
+//! input index and every cross-surface pass walks surfaces in sorted
+//! order.
 
 use crate::dataset::{resource_index, Dataset, Item, WindowGroup};
 use crate::experiment::{build_dictionary, DatasetStats, ExperimentConfig};
@@ -582,7 +582,7 @@ mod tests {
         assert_eq!(features.stats.stories_kept, mining.stories.len());
         assert_eq!(features.stats.windows, features.dataset.groups.len());
 
-        let exp = crate::Experiment::build_serial(config);
+        let exp = crate::Experiment::build_with_threads(config, 1);
         assert_eq!(exp.stats.windows, features.stats.windows);
         assert_eq!(exp.stats.total_clicks, features.stats.total_clicks);
         assert_eq!(exp.dataset.groups.len(), features.dataset.groups.len());

@@ -8,8 +8,8 @@
 //! TID list is delta-encoded with Golomb/Rice coding and the 10-bit
 //! quantized scores are bit-packed alongside. Scoring decodes on read —
 //! trading CPU for memory, the classic inverted-index compromise. The
-//! `components` benchmark and `framework_memory` binary quantify both
-//! sides of the trade.
+//! `reproduce framework_memory` entry measures the memory side of the
+//! trade; no instrument times the decode side.
 
 use crate::golomb::{golomb_decode, golomb_encode, optimal_rice_parameter, GolombEncoded};
 use crate::relstore::{MAX_KEYWORDS, MAX_QSCORE};

@@ -17,8 +17,9 @@
 //!   concept to its term id → [`tid`];
 //! * further reduction via integer compression (Golomb coding,
 //!   Witten/Moffat/Bell \[26\]) → [`golomb`];
-//! * the runtime **Stemmer → Ranker** flow → [`ranker`], with the
-//!   throughput experiment reproduced in `crates/bench`;
+//! * the runtime **Stemmer → Ranker** flow → [`ranker`], timed per
+//!   document by the repo benchmark (`framework.stem_us`,
+//!   `framework.rank_us`);
 //! * the §VIII future-work **online CTR adaptation** → [`online`]: fast
 //!   vs slow CTR averages per concept, boosting or punishing scores as
 //!   world events move the click stream in real time — made

@@ -139,8 +139,8 @@ pub fn decode_block(
     len
 }
 
-/// Decode an entire coded list back to its doc id sequence (test and
-/// bench helper; query paths decode at most one block at a time).
+/// Decode an entire coded list back to its doc id sequence (test
+/// helper; query paths decode at most one block at a time).
 pub fn decode_all(bytes: &[u8], skips: &[SkipEntry], count: usize) -> Vec<u32> {
     let mut out = Vec::with_capacity(count);
     let mut buf = [0u32; BLOCK];
@@ -217,7 +217,7 @@ impl Postings {
         self.positions.len()
     }
 
-    /// Encoded doc-id payload size in bytes (for benches and stats).
+    /// Encoded doc-id payload size in bytes (for stats).
     pub fn encoded_bytes(&self) -> usize {
         self.bytes.len() + self.skips.len() * std::mem::size_of::<SkipEntry>()
     }

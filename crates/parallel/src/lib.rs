@@ -64,8 +64,7 @@ fn fan_out_cap() -> usize {
 
 /// The worker count [`par_map`] will actually use for a request of
 /// `threads` over `items` inputs: capped by [`fan_out_cap`] and by the
-/// item count, never zero. Benches report this so recorded thread
-/// counts are the measured ones, not the requested ones.
+/// item count, never zero.
 pub fn effective_workers(threads: usize, items: usize) -> usize {
     threads.min(fan_out_cap()).min(items.max(1)).max(1)
 }

@@ -1,5 +1,5 @@
-//! A minimal blocking HTTP/1.1 client for loopback use: integration
-//! tests, the throughput bench, and `perf_report` all talk to the
+//! A minimal blocking HTTP/1.1 client for loopback use: the integration
+//! tests, the fault-injection harness and the router all talk to the
 //! server through this instead of each hand-rolling socket code.
 //!
 //! [`Conn::connect_with`] / [`request_with_retry`] add the hardening a
@@ -65,8 +65,7 @@ pub struct Conn {
 
 impl Conn {
     /// Connect with no timeouts and no response-size cap — the
-    /// happy-path constructor the bench and tests on a healthy loopback
-    /// use.
+    /// happy-path constructor tests on a healthy loopback use.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         Self::from_stream(stream, usize::MAX)
@@ -252,8 +251,7 @@ pub fn request_classified(
         .map_err(|e| RequestError::classify(addr, e))
 }
 
-/// One request over a fresh connection (the "one request per
-/// connection" baseline in the loopback bench).
+/// One request over a fresh connection.
 pub fn one_shot(
     addr: SocketAddr,
     method: &str,

@@ -66,9 +66,9 @@ pub struct ServeConfig {
     pub enable_shutdown_endpoint: bool,
     /// Byte budget for the epoch-keyed result cache. 0 disables the
     /// cache entirely (every `/rank` goes through the batcher), which
-    /// is the default so batching benchmarks and the PR 4 test suite
-    /// keep measuring the ranker, not the cache. `serve_demo`, the
-    /// open-loop bench and production configs turn it on.
+    /// is the default so batching tests keep exercising the ranker, not
+    /// the cache. `serve_demo`, the repo benchmark and production
+    /// configs turn it on.
     pub cache_capacity_bytes: usize,
     /// Mutex stripes in the result cache (contention control; the byte
     /// budget is split evenly across shards).

@@ -59,6 +59,6 @@ pub use judges::{JudgeConfig, JudgePanel};
 pub use lexicon::Lexicon;
 pub use news::{NewsConfig, NewsStory};
 pub use queries::QueryConfig;
-pub use rng::{ZipfQueryMix, ZipfSampler};
+pub use rng::ZipfSampler;
 pub use stream::{EventStream, StreamConfig};
 pub use world::{SynthWorld, WorldConfig};

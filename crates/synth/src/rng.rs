@@ -83,47 +83,6 @@ impl ZipfSampler {
     }
 }
 
-/// A self-contained Zipf-distributed query stream: a [`ZipfSampler`]
-/// bundled with its own seeded RNG, so load generators can draw a
-/// reproducible head-heavy query mix without threading an external RNG
-/// through every call site (the open-loop bench in `ctxrank-bench`
-/// drives one per connection lane).
-#[derive(Debug, Clone)]
-pub struct ZipfQueryMix {
-    sampler: ZipfSampler,
-    rng: rand::rngs::StdRng,
-}
-
-impl ZipfQueryMix {
-    /// A mix over `n` distinct queries with exponent `s`, deterministic
-    /// in `seed`.
-    ///
-    /// # Panics
-    /// Panics when `n == 0` (via [`ZipfSampler::new`]).
-    pub fn new(n: usize, s: f64, seed: u64) -> Self {
-        use rand::SeedableRng;
-        Self {
-            sampler: ZipfSampler::new(n, s),
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The next query index in `[0, n)`.
-    pub fn next_index(&mut self) -> usize {
-        self.sampler.sample(&mut self.rng)
-    }
-
-    /// Number of distinct queries in the mix.
-    pub fn len(&self) -> usize {
-        self.sampler.len()
-    }
-
-    /// Never true: the constructor rejects `n == 0`.
-    pub fn is_empty(&self) -> bool {
-        self.sampler.is_empty()
-    }
-}
-
 /// Choose one element of `items` uniformly. Panics on an empty slice.
 pub fn choose<'a, T, R: Rng + ?Sized>(rng: &mut R, items: &'a [T]) -> &'a T {
     &items[rng.random_range(0..items.len())]

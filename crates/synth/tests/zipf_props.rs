@@ -1,5 +1,5 @@
-//! Property tests for the Zipf query-mix sampler that drives the
-//! open-loop load generator's cache-hit profile.
+//! Property tests for [`ZipfSampler`], the head-heavy popularity
+//! profile behind the generated corpora, query logs and click streams.
 //!
 //! Two distributional laws, checked statistically over random `(n, s,
 //! seed)` triples: empirical counts are (tolerantly) monotone
@@ -9,16 +9,23 @@
 //! fails with negligible probability while a rank-inverted or
 //! mass-concentrating bug fails immediately.
 
-use ctxrank_synth::ZipfQueryMix;
+use ctxrank_synth::ZipfSampler;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// Empirical histogram of `draws` samples from a fresh mix.
+/// `draws` samples from a fresh sampler over a fresh seeded RNG.
+fn draw(n: usize, s: f64, seed: u64, draws: usize) -> Vec<usize> {
+    let sampler = ZipfSampler::new(n, s);
+    assert_eq!(sampler.len(), n);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..draws).map(|_| sampler.sample(&mut rng)).collect()
+}
+
+/// Empirical histogram of `draws` samples from a fresh sampler.
 fn histogram(n: usize, s: f64, seed: u64, draws: usize) -> Vec<usize> {
-    let mut mix = ZipfQueryMix::new(n, s, seed);
-    assert_eq!(mix.len(), n);
     let mut counts = vec![0usize; n];
-    for _ in 0..draws {
-        let i = mix.next_index();
+    for i in draw(n, s, seed, draws) {
         assert!(i < n, "index {i} out of range {n}");
         counts[i] += 1;
     }
@@ -66,19 +73,13 @@ proptest! {
         }
     }
 
-    /// Same seed, same mix — the stream is reproducible; and the first
-    /// rank of a skewed mix is sampled often (head-heaviness the cache
-    /// relies on).
+    /// Same seed, same stream — sampling is reproducible; and the first
+    /// rank of a skewed sampler is drawn often (the head-heaviness the
+    /// generators rely on).
     #[test]
     fn deterministic_and_head_heavy(seed in any::<u64>()) {
-        let a: Vec<usize> = {
-            let mut m = ZipfQueryMix::new(64, 1.2, seed);
-            (0..512).map(|_| m.next_index()).collect()
-        };
-        let b: Vec<usize> = {
-            let mut m = ZipfQueryMix::new(64, 1.2, seed);
-            (0..512).map(|_| m.next_index()).collect()
-        };
+        let a = draw(64, 1.2, seed, 512);
+        let b = draw(64, 1.2, seed, 512);
         prop_assert_eq!(&a, &b);
         let head = a.iter().filter(|&&i| i == 0).count();
         // Rank 0 carries ~21% of the mass at s=1.2, n=64; 512 draws

@@ -1,9 +1,7 @@
-//! Pinned-seed smoke for the position-bias debiasing experiment — the
-//! same configuration the perf report's `debias_eval` rows run, so the
-//! CI gate on `BENCH_throughput.json` and this test assert one fact:
-//! on a PBM-biased log the IPW adjuster beats the naive adjuster on
-//! golden NDCG (exact sign test, p < 0.05), and on an unbiased log the
-//! two arms tie.
+//! Pinned-seed smoke for the position-bias debiasing experiment
+//! (`DebiasConfig::default()`): on a PBM-biased log the IPW adjuster
+//! beats the naive adjuster on golden NDCG (exact sign test, p < 0.05),
+//! and on an unbiased log the two arms tie.
 
 use ctxrank_bench::{run_debias_experiment, DebiasConfig};
 use ctxrank_eval::DebiasVerdict;

@@ -1,7 +1,8 @@
 //! The paper tables the docs quote are the ones the code writes: every
 //! measured cell of README's headline table and of EXPERIMENTS.md
 //! Tables III–V equals its `results/*.json` weighted error rate at the
-//! printed precision.
+//! printed precision; and every `--bin NAME` / `--example NAME` the docs
+//! tell a reader to run names a target that exists.
 //!
 //! `cargo run --release -p ctxrank-bench --bin reproduce` regenerates
 //! `results/`, and CI checks that it leaves the committed files
@@ -142,4 +143,69 @@ fn experiments_tables_iii_to_v_match_results() {
         TABLE5,
     ));
     assert!(diff.is_empty(), "\n{}", diff.join("\n"));
+}
+
+/// Stems of the `*.rs` files directly under `dir` (none when it is
+/// absent).
+fn rs_stems(dir: &std::path::Path) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    entries
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "rs"))
+        .map(|path| {
+            path.file_stem()
+                .expect("file stem")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect()
+}
+
+/// Every `NAME` that follows `flag` and whitespace in `doc`.
+fn flag_arguments<'a>(doc: &'a str, flag: &str) -> Vec<&'a str> {
+    doc.match_indices(flag)
+        .filter_map(|(at, _)| {
+            let rest = &doc[at + flag.len()..];
+            let name = rest.trim_start();
+            if name.len() == rest.len() {
+                return None; // `--bins`, `--examples`: not this flag
+            }
+            let end = name
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+                .unwrap_or(name.len());
+            Some(&name[..end])
+        })
+        .collect()
+}
+
+#[test]
+fn docs_run_only_targets_in_the_tree() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut bins = rs_stems(&root.join("src/bin"));
+    let mut examples = rs_stems(&root.join("examples"));
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("dir entry").path();
+        bins.extend(rs_stems(&krate.join("src/bin")));
+        examples.extend(rs_stems(&krate.join("examples")));
+    }
+    let docs = ["README.md", "EXPERIMENTS.md", "DESIGN.md"].map(|doc| (doc, repo_file(doc)));
+    let mut missing = Vec::new();
+    for (flag, targets) in [("--bin", &bins), ("--example", &examples)] {
+        let mut seen = 0;
+        for (doc, text) in &docs {
+            for name in flag_arguments(text, flag) {
+                seen += 1;
+                if !targets.iter().any(|t| t == name) {
+                    missing.push(format!("{doc}: `{flag} {name}` names no target"));
+                }
+            }
+        }
+        assert!(
+            seen > 0,
+            "the docs run no `{flag}` target: the scan is broken"
+        );
+    }
+    assert!(missing.is_empty(), "\n{}", missing.join("\n"));
 }
