@@ -320,25 +320,21 @@ impl FeatureStage {
             .iter()
             .map(|s| s.split(' ').map(str::to_string).collect())
             .collect();
-        // The three resources mine independently from the shared
-        // (immutable) builder; run them as one job each.
-        let mut models: Vec<RelevanceModel> = {
-            let builder = &builder;
-            let lists = &concept_term_lists;
-            ctxrank_parallel::join_all(
-                threads,
-                vec![
-                    Box::new(|| builder.build(lists.clone(), MiningResource::Snippets)),
-                    Box::new(|| builder.build(lists.clone(), MiningResource::Prisma)),
-                    Box::new(|| builder.build(lists.clone(), MiningResource::Suggestions)),
-                ],
-            )
-        };
-        // Order the array by resource_index.
-        models.sort_by_key(|m| resource_index(m.resource));
-        let relevance_models: [RelevanceModel; 3] = models
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("three models built"));
+        // Each resource mines its concepts in parallel from the shared
+        // (immutable) builder: splitting by concept rather than by
+        // resource keeps every worker busy until Prisma, the slowest
+        // resource, is done. Built in `resource_index` order.
+        let relevance_models: [RelevanceModel; 3] = [
+            MiningResource::Snippets,
+            MiningResource::Prisma,
+            MiningResource::Suggestions,
+        ]
+        .map(|resource| {
+            let mined = ctxrank_parallel::par_map(threads, &concept_term_lists, |terms| {
+                (terms.join(" "), builder.mine(terms, resource))
+            });
+            RelevanceModel::from_mined(resource, mined)
+        });
         drop(builder);
 
         // Windowing and item assembly. The relevance models are compiled

@@ -239,14 +239,11 @@ impl<'a> RelevanceModelBuilder<'a> {
         concepts: impl IntoIterator<Item = Vec<String>>,
         resource: MiningResource,
     ) -> RelevanceModel {
-        let map = concepts
-            .into_iter()
-            .map(|terms| {
-                let mined = self.mine(&terms, resource);
-                (terms.join(" "), mined)
-            })
-            .collect();
-        RelevanceModel { map, resource }
+        let mined = concepts.into_iter().map(|terms| {
+            let mined = self.mine(&terms, resource);
+            (terms.join(" "), mined)
+        });
+        RelevanceModel::from_mined(resource, mined)
     }
 
     /// Snippets resource: top-100 phrase results, context windows, one
@@ -372,6 +369,18 @@ pub struct RelevanceModel {
 }
 
 impl RelevanceModel {
+    /// Assemble a model from `(concept surface, mined keywords)` pairs,
+    /// e.g. mined concept by concept on several threads.
+    pub fn from_mined(
+        resource: MiningResource,
+        mined: impl IntoIterator<Item = (String, RelevantTerms)>,
+    ) -> Self {
+        Self {
+            map: mined.into_iter().collect(),
+            resource,
+        }
+    }
+
     /// Mined keywords for a concept surface.
     pub fn terms(&self, surface: &str) -> Option<&RelevantTerms> {
         self.map.get(surface)

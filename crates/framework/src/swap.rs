@@ -83,9 +83,10 @@ impl ServiceHandle {
 
     /// The current snapshot's epoch — one atomic load, no lock and no
     /// refcount traffic, so per-request probes (the serve-layer cache
-    /// keys every lookup by this) stay cheap. May trail
-    /// [`Self::current`] by the width of a publish in flight; never
-    /// moves backwards.
+    /// keys every lookup by this) stay cheap. Never moves backwards, and
+    /// never trails a snapshot already returned by [`Self::current`]:
+    /// `publish` moves it before releasing the write lock. It may lead
+    /// [`Self::current`] while a publish is in flight.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -102,10 +103,14 @@ impl ServiceHandle {
     /// the online adjuster (CTR feedback) carries over untouched.
     pub fn publish(&self, next: Arc<Snapshot>) -> u64 {
         let epoch = next.epoch();
-        let replaced = std::mem::replace(&mut *self.current.write(), next);
+        let mut guard = self.current.write();
+        let replaced = std::mem::replace(&mut *guard, next);
+        // The mirror moves before the guard drops, so a reader that
+        // loads the new snapshot already sees its epoch in `epoch()`.
         // Epochs are process-wide monotone, but `fetch_max` keeps the
         // mirror safe even against a hostile out-of-order publish.
         self.epoch.fetch_max(epoch, Ordering::Release);
+        drop(guard);
         // Dropped after the write lock is released: if no request is
         // pinned to it this frees the whole snapshot, and readers
         // should not wait on that.
@@ -389,5 +394,34 @@ mod tests {
             assert_eq!(handle.epoch(), e);
             last = e;
         }
+    }
+
+    #[test]
+    fn epoch_mirror_never_trails_current_under_publish() {
+        // Built in publish order, so each publish raises the epoch.
+        let handle = ServiceHandle::new(snapshot(1.0));
+        let snapshots: Vec<Arc<Snapshot>> = (0..400).map(|w| snapshot(w as f64)).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for next in snapshots {
+                    handle.publish(next);
+                }
+                done.store(true, Ordering::Release);
+            });
+            // Both sides start together and the reader runs until the
+            // publisher is done, so every publish overlaps reads.
+            start.wait();
+            while !done.load(Ordering::Acquire) {
+                let pinned = handle.current().epoch();
+                let mirror = handle.epoch();
+                assert!(
+                    mirror >= pinned,
+                    "epoch() = {mirror} trails current() at epoch {pinned}"
+                );
+            }
+        });
     }
 }

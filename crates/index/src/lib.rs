@@ -42,28 +42,32 @@ pub use tfidf::tf_idf_weight;
 use ctxrank_text::{Interner, TermId};
 
 /// A document stored in the index: the raw text plus its token stream.
+///
+/// Each token is stored once, as an id into the owning index's
+/// [`Interner`] plus its byte span: 12 bytes per token. The normalized
+/// term is `index.interner().term(id)`; the original spelling is
+/// `text[start as usize..end as usize]`.
 #[derive(Debug, Clone)]
 pub struct StoredDoc {
     /// Raw document text.
     pub text: String,
-    /// Normalized terms in order (empty normalizations dropped).
-    pub terms: Vec<String>,
-    /// Interned id of each term (parallel to `terms`, ids from the
-    /// owning index's [`Interner`]).
+    /// Interned id of each normalized term, in document order (empty
+    /// normalizations dropped).
     pub term_ids: Vec<TermId>,
-    /// Byte offset of each term in `text` (parallel to `terms`).
-    pub offsets: Vec<(usize, usize)>,
+    /// Byte span `(start, end)` of each term in `text` (parallel to
+    /// `term_ids`).
+    pub offsets: Vec<(u32, u32)>,
 }
 
 impl StoredDoc {
     /// Number of terms in the document.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.term_ids.len()
     }
 
     /// True when the document has no indexable terms.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.term_ids.is_empty()
     }
 }
 
@@ -82,22 +86,32 @@ impl IndexBuilder {
     }
 
     /// Tokenize, normalize, intern and store one document; returns its id.
+    ///
+    /// Term spans are stored as `u32` byte offsets, so one document may
+    /// be at most 4 GiB of text.
+    ///
+    /// # Panics
+    ///
+    /// If a term ends past byte `u32::MAX` of `text`.
     pub fn add_document(&mut self, text: &str) -> DocId {
         let id = DocId(self.docs.len() as u32);
-        let mut terms = Vec::new();
-        let mut term_ids = Vec::new();
-        let mut offsets = Vec::new();
-        for tok in ctxrank_text::tokenize(text) {
+        let tokens = ctxrank_text::tokenize(text);
+        let mut term_ids = Vec::with_capacity(tokens.len());
+        let mut offsets = Vec::with_capacity(tokens.len());
+        let to_u32 = |byte: usize| u32::try_from(byte).expect("document exceeds 4 GiB");
+        for tok in tokens {
             let norm = ctxrank_text::normalize_term(tok.text);
             if !norm.is_empty() {
                 term_ids.push(self.interner.intern(&norm));
-                terms.push(norm);
-                offsets.push((tok.start, tok.end));
+                offsets.push((to_u32(tok.start), to_u32(tok.end)));
             }
         }
+        // The corpus lives as long as the index: keep no slack past the
+        // terms that survived normalization.
+        term_ids.shrink_to_fit();
+        offsets.shrink_to_fit();
         self.docs.push(StoredDoc {
             text: text.to_string(),
-            terms,
             term_ids,
             offsets,
         });
@@ -244,8 +258,14 @@ mod tests {
     fn stored_doc_offsets_align() {
         let idx = small_index();
         let doc = idx.doc(DocId(0));
-        for (term, (s, e)) in doc.terms.iter().zip(&doc.offsets) {
-            assert_eq!(&doc.text[*s..*e].to_lowercase(), term);
+        assert_eq!(doc.len(), 5);
+        assert_eq!(doc.offsets.len(), doc.len());
+        for (&id, &(s, e)) in doc.term_ids.iter().zip(&doc.offsets) {
+            let term = idx
+                .interner()
+                .term(id)
+                .expect("doc ids come from the index");
+            assert_eq!(doc.text[s as usize..e as usize].to_lowercase(), term);
         }
     }
 

@@ -178,11 +178,15 @@ impl PostingsBuilder {
         self.positions.push(pos);
     }
 
-    /// Freeze into the block-coded form.
+    /// Freeze into the block-coded form. The frozen arrays are sized
+    /// exactly: they live as long as the index.
     pub(crate) fn freeze(mut self) -> Postings {
-        let (bytes, skips) = encode_blocks(&self.docs);
+        let (mut bytes, skips) = encode_blocks(&self.docs);
         self.pos_starts
             .push(u32::try_from(self.positions.len()).expect("positions exceed u32"));
+        bytes.shrink_to_fit();
+        self.pos_starts.shrink_to_fit();
+        self.positions.shrink_to_fit();
         Postings {
             bytes,
             skips,

@@ -23,8 +23,8 @@ impl Index {
         let pos = (match_pos as usize).min(stored.len() - 1);
         let from = pos.saturating_sub(context);
         let to = (pos + context + 1).min(stored.len());
-        let start_byte = stored.offsets[from].0;
-        let end_byte = stored.offsets[to - 1].1;
+        let start_byte = stored.offsets[from].0 as usize;
+        let end_byte = stored.offsets[to - 1].1 as usize;
         stored.text[start_byte..end_byte].to_string()
     }
 

@@ -188,30 +188,6 @@ where
         .collect()
 }
 
-/// A boxed job parked in a lockable slot so exactly one pool worker
-/// can claim it; the `Mutex` carries the `Sync` bound `par_map` needs.
-type JobSlot<'a, R> = Mutex<Option<Box<dyn FnOnce() -> R + Send + 'a>>>;
-
-/// Run independent thunks concurrently, returning results in argument
-/// order. A convenience wrapper for "a handful of heterogeneous jobs"
-/// (e.g. one relevance model per mining resource); routed through the
-/// same pool as [`par_map`], so it inherits the fan-out cap and the
-/// inline degeneration with one effective worker.
-pub fn join_all<R: Send>(threads: usize, jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    let slots: Vec<JobSlot<'_, R>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    par_map(threads, &slots, |slot| {
-        let job = slot
-            .lock()
-            .expect("join_all job poisoned")
-            .take()
-            .expect("join_all: slot claimed twice");
-        job()
-    })
-}
-
 // ---------------------------------------------------------------------
 // Pool internals
 // ---------------------------------------------------------------------
@@ -504,14 +480,6 @@ mod tests {
             par_map_exact(4, &items, |&x| x + 1),
             items.iter().map(|&x| x + 1).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn join_all_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..5usize)
-            .map(|i| Box::new(move || i * 10) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        assert_eq!(join_all(4, jobs), vec![0, 10, 20, 30, 40]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for the pooled scheduler: for every thread count and
-//! chunk-sensitive workload shape, `par_map`/`par_map_exact`/`join_all`
+//! chunk-sensitive workload shape, `par_map`/`par_map_exact`
 //! must produce output identical to the sequential loop.
 
-use ctxrank_parallel::{join_all, par_map, par_map_exact};
+use ctxrank_parallel::{par_map, par_map_exact};
 use proptest::prelude::*;
 
 /// A workload whose per-item cost depends on the item, so chunk
@@ -60,17 +60,5 @@ proptest! {
         let items: Vec<usize> = (0..n).collect();
         let out = par_map_exact(fan_out, &items, |&i| i);
         prop_assert_eq!(out, items);
-    }
-
-    #[test]
-    fn join_all_equals_serial(
-        jobs in 0usize..=12,
-        threads in 1usize..=8,
-    ) {
-        let boxed: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..jobs)
-            .map(|i| Box::new(move || spin(i, jobs, 1)) as Box<dyn FnOnce() -> u64 + Send>)
-            .collect();
-        let serial: Vec<u64> = (0..jobs).map(|i| spin(i, jobs, 1)).collect();
-        prop_assert_eq!(join_all(threads, boxed), serial);
     }
 }

@@ -10,7 +10,6 @@
 
 use ctxrank_index::{DocId, Index};
 use ctxrank_text::TermId;
-use std::collections::HashMap;
 
 /// Number of top-ranked documents considered, as in the paper.
 pub const PRISMA_TOP_DOCS: usize = 50;
@@ -101,6 +100,9 @@ impl<'a> Prisma<'a> {
         // top terms of each round are re-issued as a query and the newly
         // retrieved documents join the feedback pool.
         let query_ids = self.query_ids(query_terms);
+        // Vocabulary-sized scratch shared by every accumulation of this
+        // call; `accumulate` leaves it all-empty again.
+        let mut slot: Vec<u32> = vec![u32::MAX; self.stop.len()];
         let mut hits = self
             .index
             .search(query_terms, top_docs / (1 + self.expansion_rounds));
@@ -108,25 +110,15 @@ impl<'a> Prisma<'a> {
             // Drift mechanism: expansion picks the most *frequent* terms
             // of the current pool (tf, no idf) — the classic PRF failure
             // mode of chasing common vocabulary.
-            let mut tf: HashMap<TermId, usize> = HashMap::new();
-            for hit in &hits {
-                for &(tid, n, _) in &self.doc_stats[hit.doc.0 as usize] {
-                    if !self.stop[tid.idx()] && !query_ids.contains(&tid) {
-                        *tf.entry(tid).or_insert(0) += n as usize;
-                    }
-                }
-            }
-            let mut by_tf: Vec<(&str, usize)> = tf
-                .into_iter()
-                .map(|(tid, n)| {
-                    let term = self
-                        .index
-                        .interner()
-                        .term(tid)
-                        .expect("doc stats use index ids");
-                    (term, n)
-                })
-                .collect();
+            let tf = self.accumulate(
+                &mut slot,
+                &query_ids,
+                hits.iter()
+                    .flat_map(|hit| &self.doc_stats[hit.doc.0 as usize])
+                    .map(|&(tid, n, _)| (tid, n as usize)),
+            );
+            let mut by_tf: Vec<(&str, usize)> =
+                tf.into_iter().map(|(tid, n)| (self.term(tid), n)).collect();
             by_tf.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
             let expansion: Vec<String> = by_tf.iter().take(5).map(|(t, _)| t.to_string()).collect();
             if expansion.is_empty() {
@@ -153,54 +145,87 @@ impl<'a> Prisma<'a> {
             hits = merged;
             hits.truncate(top_docs);
         }
-        self.score_docs(&hits, &query_ids, max_terms)
+        self.score_docs(&mut slot, &hits, &query_ids, max_terms)
     }
 
-    /// PRF scoring of one document pool, entirely in id space.
+    /// PRF scoring of one document pool, entirely in id space; only the
+    /// returned terms become `String`s.
     fn score_docs(
         &self,
+        slot: &mut [u32],
         hits: &[ctxrank_index::SearchHit],
         query_ids: &[TermId],
         max_terms: usize,
     ) -> Vec<(String, f64)> {
-        let mut scores: HashMap<TermId, f64> = HashMap::new();
-
-        for (rank, hit) in hits.iter().enumerate() {
+        let contributions = hits.iter().enumerate().flat_map(|(rank, hit)| {
             let rank_discount = 1.0 / (1.0 + (rank as f64)).ln_1p();
-            let doc = self.index.doc(hit.doc);
-            let n = doc.terms.len().max(1) as f64;
-            for &(tid, tf, first_pos) in &self.doc_stats[hit.doc.0 as usize] {
-                if self.stop[tid.idx()] || query_ids.contains(&tid) {
-                    continue;
-                }
-                // Terms appearing earlier in the document count more.
-                let position_boost = 1.0 + (1.0 - first_pos as f64 / n);
-                *scores.entry(tid).or_insert(0.0) += tf as f64 * rank_discount * position_boost;
-            }
-        }
+            let n = self.index.doc(hit.doc).len().max(1) as f64;
+            self.doc_stats[hit.doc.0 as usize]
+                .iter()
+                .map(move |&(tid, tf, first_pos)| {
+                    // Terms appearing earlier in the document count more.
+                    let position_boost = 1.0 + (1.0 - first_pos as f64 / n);
+                    (tid, tf as f64 * rank_discount * position_boost)
+                })
+        });
+        let scores = self.accumulate(slot, query_ids, contributions);
 
         // Anick's selection factors are count, position and document
         // rank — frequency-driven, with no idf damping (§IV-B). This is
         // the second reason the resource drifts toward everyday
         // vocabulary.
-        let mut out: Vec<(String, f64)> = scores
+        let mut ranked: Vec<(&str, f64)> = scores
             .into_iter()
-            .map(|(tid, s)| {
-                let term = self
-                    .index
-                    .interner()
-                    .term(tid)
-                    .expect("doc stats use index ids");
-                (term.to_string(), s)
-            })
+            .map(|(tid, s)| (self.term(tid), s))
             .collect();
-        out.sort_by(|a, b| {
+        ranked.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
+                .then(a.0.cmp(b.0))
         });
-        out.truncate(max_terms);
+        ranked
+            .into_iter()
+            .take(max_terms)
+            .map(|(term, s)| (term.to_string(), s))
+            .collect()
+    }
+
+    /// Sum `(term, value)` contributions per term, skipping stop-words
+    /// and query terms, in first-contribution order. Sums are taken in
+    /// contribution order, as a per-term map would take them. `slot` is
+    /// a vocabulary-sized scratch that is all `u32::MAX` on entry and is
+    /// left that way.
+    fn accumulate<V: std::ops::AddAssign>(
+        &self,
+        slot: &mut [u32],
+        query_ids: &[TermId],
+        contributions: impl Iterator<Item = (TermId, V)>,
+    ) -> Vec<(TermId, V)> {
+        let mut out: Vec<(TermId, V)> = Vec::new();
+        for (tid, v) in contributions {
+            if self.stop[tid.idx()] || query_ids.contains(&tid) {
+                continue;
+            }
+            match slot[tid.idx()] {
+                u32::MAX => {
+                    slot[tid.idx()] = out.len() as u32;
+                    out.push((tid, v));
+                }
+                s => out[s as usize].1 += v,
+            }
+        }
+        for &(tid, _) in &out {
+            slot[tid.idx()] = u32::MAX;
+        }
         out
+    }
+
+    /// The vocabulary term behind an id from `doc_stats`.
+    fn term(&self, tid: TermId) -> &str {
+        self.index
+            .interner()
+            .term(tid)
+            .expect("doc stats use index ids")
     }
 
     /// The paper's defaults: top 50 documents, at most 20 feedback terms.
