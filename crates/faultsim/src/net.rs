@@ -259,14 +259,18 @@ fn run_proxy(
                             // mid-stream death a flaky LB produces.
                             kill.store(true, Ordering::Release);
                             dropped.fetch_add(1, Ordering::Relaxed);
-                            let _ = to.shutdown(Shutdown::Both);
-                            let _ = from.shutdown(Shutdown::Both);
                             break;
                         }
                         if to.write_all(&buf[..n]).is_err() {
                             break;
                         }
                     }
+                    // However this direction ended, end the other one
+                    // too: its pump is blocked reading `to`'s socket, and
+                    // would otherwise hold that socket (and the peer's
+                    // connection) open until its read timeout.
+                    let _ = to.shutdown(Shutdown::Both);
+                    let _ = from.shutdown(Shutdown::Both);
                 });
         }
     }

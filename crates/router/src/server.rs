@@ -1,11 +1,10 @@
-//! The router's HTTP front: a thin listener over [`ScatterGather`].
-//!
-//! Reuses the serve crate's HTTP/1.1 reader/writer verbatim so the
-//! router speaks exactly the wire dialect shards and clients already
-//! speak. Unlike the shard server there is no batcher and no worker
-//! pool — each connection gets its own handler thread, and the real
-//! concurrency lives in the per-request scatter (one scoped thread
-//! per shard). Endpoints:
+//! The router's HTTP front: the serve crate's [`Front`] with a handler
+//! over [`ScatterGather`], so the router speaks exactly the wire dialect
+//! shards and clients already speak and holds connections the same way.
+//! Unlike the shard server there is no batcher and no permit pool: the
+//! requests in flight are bounded by the open connections, and the real
+//! concurrency lives in the per-request scatter (one scoped thread per
+//! shard). Endpoints:
 //!
 //! * `POST /rank` — scatter, gather, merge; byte-identical body to the
 //!   unsharded server's answer.
@@ -15,15 +14,16 @@
 //!   [`RouterServerConfig::enable_shutdown_endpoint`]; wakes
 //!   [`RouterServer::wait_for_shutdown_request`].
 //!
+//! [`Front`]: ctxrank_serve::front::Front
 //! [`RouterMetrics`]: crate::metrics::RouterMetrics
 
 use crate::ScatterGather;
-use ctxrank_serve::http::{read_request_deadline, write_response, HttpError, Request, Response};
+use ctxrank_serve::front::{Front, Handler, Writer};
+use ctxrank_serve::http::{Request, Response};
+use ctxrank_serve::ServeConfig;
 use serde_json::json;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Listener knobs. `Default` binds an ephemeral loopback port with the
@@ -32,8 +32,7 @@ use std::time::Duration;
 pub struct RouterServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Idle keep-alive read timeout before a handler drops its
-    /// connection.
+    /// Idle keep-alive read timeout before a connection is closed.
     pub keep_alive_timeout: Duration,
     /// Total budget from a request's first byte to the end of its body
     /// (slowloris bound, same semantics as the shard server).
@@ -58,148 +57,57 @@ impl Default for RouterServerConfig {
 
 struct Inner {
     sg: Arc<ScatterGather>,
-    config: RouterServerConfig,
-    shutting: AtomicBool,
-    /// Handler threads still alive (reaped opportunistically by the
-    /// acceptor, joined on shutdown).
-    handlers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
+    retry_after_secs: u32,
+}
+
+impl Handler for Inner {
+    fn handle(&self, request: &Request, _keep_alive: bool, _writer: &Writer) -> Option<Response> {
+        Some(dispatch(self, request))
+    }
 }
 
 /// A running router front. Call [`RouterServer::shutdown`] for a
 /// graceful drain; dropping without it aborts the threads unjoined.
 pub struct RouterServer {
-    inner: Arc<Inner>,
-    addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    front: Front,
 }
 
 impl RouterServer {
     /// Bind and start serving `sg`. Returns as soon as the listener is
     /// live.
     pub fn start(sg: Arc<ScatterGather>, config: RouterServerConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             sg,
-            config,
-            shutting: AtomicBool::new(false),
-            handlers: Mutex::new(Vec::new()),
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
+            retry_after_secs: config.retry_after_secs,
         });
-        let acceptor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("ctxrank-router-acceptor".into())
-                .spawn(move || run_acceptor(&inner, listener))
-                .expect("spawn acceptor")
+        // The shard server's default connection cap; no permits.
+        let front_config = ServeConfig {
+            addr: config.addr,
+            keep_alive_timeout: config.keep_alive_timeout,
+            request_deadline: config.request_deadline,
+            enable_shutdown_endpoint: config.enable_shutdown_endpoint,
+            retry_after_secs: config.retry_after_secs,
+            ..ServeConfig::default()
         };
-        Ok(Self {
-            inner,
-            addr,
-            acceptor: Some(acceptor),
-        })
+        let front = Front::start(&front_config, None, inner)?;
+        Ok(Self { front })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Block until a client calls `POST /admin/shutdown` (requires
     /// `enable_shutdown_endpoint`).
     pub fn wait_for_shutdown_request(&self) {
-        let mut requested = self
-            .inner
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned");
-        while !*requested {
-            requested = self
-                .inner
-                .shutdown_cv
-                .wait(requested)
-                .expect("shutdown flag poisoned");
-        }
+        self.front.wait_for_shutdown_request();
     }
 
-    /// Graceful drain: stop accepting, finish in-flight requests, join
-    /// every handler thread.
-    pub fn shutdown(mut self) {
-        self.inner.shutting.store(true, Ordering::Release);
-        // Wake the acceptor out of `accept()`; it checks the flag
-        // before handling the throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.acceptor.take() {
-            t.join().expect("acceptor panicked");
-        }
-        let handlers =
-            std::mem::take(&mut *self.inner.handlers.lock().expect("handler list poisoned"));
-        for t in handlers {
-            t.join().expect("handler panicked");
-        }
-    }
-}
-
-fn run_acceptor(inner: &Arc<Inner>, listener: TcpListener) {
-    for conn in listener.incoming() {
-        if inner.shutting.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let handler = {
-            let inner = Arc::clone(inner);
-            std::thread::Builder::new()
-                .name("ctxrank-router-conn".into())
-                .spawn(move || serve_connection(&inner, stream))
-                .expect("spawn handler")
-        };
-        let mut handlers = inner.handlers.lock().expect("handler list poisoned");
-        handlers.retain(|h| !h.is_finished());
-        handlers.push(handler);
-    }
-}
-
-fn serve_connection(inner: &Inner, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(inner.config.keep_alive_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Idle timeout must be re-armed each iteration: the request
-        // parser re-arms the socket timeout against its own deadline.
-        let _ = reader
-            .get_ref()
-            .set_read_timeout(Some(inner.config.keep_alive_timeout));
-        let request = match read_request_deadline(&mut reader, Some(inner.config.request_deadline))
-        {
-            Ok(Some(req)) => req,
-            Ok(None) | Err(HttpError::Io(_)) => return,
-            Err(HttpError::Timeout) => {
-                let resp = Response::json(408, &json!({"error": "request timed out"}));
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
-            Err(HttpError::TooLarge) => {
-                let resp = Response::json(413, &json!({"error": "request too large"}));
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
-            Err(HttpError::BadRequest(detail)) => {
-                let resp = Response::json(400, &json!({"error": detail}));
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive && !inner.shutting.load(Ordering::Acquire);
-        let response = dispatch(inner, &request);
-        if write_response(&mut writer, &response, keep_alive).is_err() || !keep_alive {
-            return;
-        }
+    /// Graceful drain: stop accepting, finish in-flight requests, wait
+    /// for every connection to close.
+    pub fn shutdown(self) {
+        self.front.shutdown();
     }
 }
 
@@ -215,7 +123,7 @@ fn dispatch(inner: &Inner, request: &Request) -> Response {
                     let status = e.status();
                     let resp = Response::json(status, &json!({"error": e.to_string()}));
                     if status == 503 {
-                        resp.with_header("retry-after", inner.config.retry_after_secs.to_string())
+                        resp.with_header("retry-after", inner.retry_after_secs.to_string())
                     } else {
                         resp
                     }
@@ -238,15 +146,6 @@ fn dispatch(inner: &Inner, request: &Request) -> Response {
                 .metrics()
                 .render_prometheus(inner.sg.observed_epoch()),
         ),
-        ("POST", "/admin/shutdown") if inner.config.enable_shutdown_endpoint => {
-            let mut requested = inner
-                .shutdown_requested
-                .lock()
-                .expect("shutdown flag poisoned");
-            *requested = true;
-            inner.shutdown_cv.notify_all();
-            Response::json(200, &json!({"status": "shutting down"}))
-        }
         ("GET" | "POST", _) => Response::json(404, &json!({"error": "no such endpoint"})),
         _ => Response::json(405, &json!({"error": "method not allowed"})),
     }
@@ -257,6 +156,7 @@ mod tests {
     use super::*;
     use crate::{RouterConfig, ShardSpec};
     use ctxrank_serve::{one_shot, ClientConfig};
+    use std::net::TcpListener;
 
     fn start_router(shards: Vec<ShardSpec>) -> RouterServer {
         let sg = Arc::new(ScatterGather::new(

@@ -1,7 +1,7 @@
 //! The micro-batcher: coalesce queued `/rank` requests into
 //! [`ServiceHandle::rank_batch_online`] calls.
 //!
-//! Worker threads parse requests and *submit* jobs; one batcher thread
+//! Connection threads parse requests and *submit* jobs; one batcher thread
 //! owns the ranking cadence. A job waits in a bounded queue until
 //! either `max_batch` jobs have accumulated or the oldest job has
 //! waited `max_wait` — then the whole batch is ranked through **one**
@@ -12,8 +12,8 @@
 //!
 //! The batcher also *completes* each job: it renders and writes the
 //! response onto the job's connection itself, instead of handing the
-//! result back to the submitting worker. That removes a condvar wake
-//! and a thread handoff from every request — the worker is already back
+//! result back to the submitting thread. That removes a condvar wake
+//! and a thread handoff from every request — that thread is already back
 //! in `read_request` for the connection's next request (which a
 //! well-behaved client only sends after this response arrives).
 //!
@@ -38,14 +38,14 @@ pub struct RankJob {
     pub text: String,
     pub candidates: Vec<String>,
     pub enqueued: Instant,
-    /// The connection's write half, shared with the owning worker (all
+    /// The connection's write half, shared with its connection thread (all
     /// writes go through the mutex, so response bytes never interleave).
     pub writer: Arc<Mutex<TcpStream>>,
     /// Whether the *request* asked to keep the connection open; the
     /// batcher additionally closes when the server is draining.
     pub keep_alive: bool,
     /// [`crate::cache::query_hash`] of (text, candidates), computed by
-    /// the worker that already probed the cache and missed. `None` when
+    /// the connection thread that already probed the cache and missed. `None` when
     /// the cache is disabled. The batcher uses it to insert the
     /// rendered body under the epoch that ranked it.
     pub query_hash: Option<u64>,
@@ -71,7 +71,7 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
-/// Handle to the batcher: submit side for workers, lifecycle for the
+/// Handle to the batcher: submit side for connections, lifecycle for the
 /// server. Shared behind `Arc`, so shutdown takes `&self` and joins the
 /// thread exactly once.
 pub struct Batcher {

@@ -148,7 +148,7 @@ impl Shard {
 }
 
 /// The sharded `(epoch, query-hash)` → rendered-body cache. Shared by
-/// the worker pool (probes) and the batcher (inserts) behind an `Arc`.
+/// the connection threads (probes) and the batcher (inserts) behind an `Arc`.
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     /// Byte budget per shard: `capacity_bytes / shards`.

@@ -62,7 +62,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
 /// zero duration, and a sub-millisecond window would busy-spin.
 const MIN_ARM: Duration = Duration::from_millis(1);
 
-fn is_timeout(e: &std::io::Error) -> bool {
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut

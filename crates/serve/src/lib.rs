@@ -9,19 +9,19 @@
 //! **zero-external-dependency HTTP/1.1 server** on
 //! `std::net::TcpListener` with
 //!
-//! * an acceptor + worker-thread pool (sized via `CTXRANK_THREADS`,
-//!   like every pool in the workspace) behind a **bounded connection
-//!   queue**;
+//! * a connection [`front`] shared with the router: a thread per open
+//!   connection under a **connection cap**, and a permit per executing
+//!   request (sized via `CTXRANK_THREADS`, like every pool in the workspace);
 //! * a **micro-batcher** that coalesces concurrent `POST /rank`
 //!   requests into single `ServiceHandle::rank_batch_online` calls —
 //!   one snapshot, one adjuster read, one epoch per batch, so clients
 //!   can never observe a torn response across a hot-swap;
 //! * **load shedding**: either bound filling yields an immediate `503`
 //!   with `Retry-After`, never unbounded memory;
-//! * an optional **epoch-keyed result cache** ([`cache`]) probed by
-//!   workers before the batcher — publishes invalidate by construction
-//!   because the epoch is part of the key, so there are no TTLs and no
-//!   stale reads;
+//! * an optional **epoch-keyed result cache** ([`cache`]) probed on
+//!   the connection thread before the batcher — publishes invalidate by
+//!   construction because the epoch is part of the key, so there are
+//!   no TTLs and no stale reads;
 //! * `GET /healthz`, `GET /metrics` (Prometheus text format), `POST
 //!   /annotate`, and graceful **drain on shutdown** (stop accepting,
 //!   finish queued work, close).
@@ -36,6 +36,7 @@
 pub mod batcher;
 pub mod cache;
 pub mod client;
+pub mod front;
 pub mod http;
 pub mod metrics;
 pub mod server;

@@ -115,7 +115,7 @@ impl Histogram {
 }
 
 /// The server's metric registry. One instance per [`crate::Server`],
-/// shared by acceptor, workers and the batcher.
+/// shared by acceptor, connection threads and the batcher.
 #[derive(Default)]
 pub struct Metrics {
     requests: [AtomicU64; Endpoint::ALL.len()],

@@ -1,37 +1,38 @@
-//! The front door: acceptor, bounded connection queue, worker pool,
-//! request dispatch, graceful shutdown.
+//! The shard/single-process server: the [`Front`] with a handler for
+//! `/rank` (cache, micro-batcher), `/healthz`, `/metrics`, `/annotate`,
+//! `/feedback` and the epoch barrier.
 //!
 //! ```text
-//!            ┌───────────┐  bounded conn   ┌──────────────┐
-//!  clients ─▶│ acceptor  │──── queue ─────▶│ worker pool  │──▶ /healthz /metrics /annotate
-//!            │ (1 thread)│  full? 503+shed │ (N threads)  │──┐
-//!            └───────────┘                 └──────────────┘  │ /rank
-//!                                                            ▼
-//!                                          bounded job  ┌──────────┐  rank_batch_online
-//!                                          queue ──────▶│ batcher  │────▶ one snapshot,
-//!                                          full? 503    │ (1 thread)     one epoch/batch
-//!                                                       └──────────┘
+//!            ┌───────────┐ open < cap  ┌─────────────────┐ request  ┌──────────┐
+//!  clients ─▶│ acceptor  │────────────▶│ thread per      │── read ─▶│ W permits│──▶ /healthz /metrics /annotate
+//!            │ (1 thread)│ else 503    │ connection      │ in full  │          │──┐ /rank: cache hit answered here
+//!            └───────────┘             └─────────────────┘          └──────────┘  │ miss ▼ (permit given back)
+//!                                                                                 │
+//!                                         bounded job  ┌──────────┐  rank_batch_online
+//!                                         queue ──────▶│ batcher  │────▶ one snapshot,
+//!                                         full? 503    │ (1 thread)     one epoch/batch
+//!                                                      └──────────┘
 //! ```
 //!
-//! Both queues are bounded; once either fills, the server sheds with
-//! `503` + `Retry-After` instead of growing memory — admission control
-//! at the door, as in any serving stack sized for peak. Worker count
-//! follows `ctxrank_parallel::num_threads()` (the `CTXRANK_THREADS`
-//! override), the same plumbing every parallel path in the workspace
-//! uses.
+//! Open connections and the batcher's queue are both bounded; once
+//! either fills, the server sheds with `503` + `Retry-After` instead of
+//! growing memory — admission control at the door, as in any serving
+//! stack sized for peak. `W` follows `ctxrank_parallel::num_threads()`
+//! (the `CTXRANK_THREADS` override), the same plumbing every parallel
+//! path in the workspace uses.
+//!
+//! [`Front`]: crate::front::Front
 
 use crate::batcher::{Batcher, RankJob, SubmitError};
 use crate::cache::{query_hash, ResultCache};
-use crate::http::{read_request_deadline, write_response, HttpError, Request, Response};
+use crate::front::{Front, Handler, Writer};
+use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, Metrics};
 use ctxrank_framework::partition::{EpochBarrier, ShardBounds};
 use ctxrank_framework::{load_snapshot, ServiceHandle};
 use serde_json::json;
-use std::collections::VecDeque;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs. `Default` is sized for a small box; every field exists
@@ -41,9 +42,13 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads. 0 means `ctxrank_parallel::num_threads()`.
+    /// Requests executing at once (permits a connection takes after
+    /// reading a whole request and gives back once the response is
+    /// written or handed to the batcher). 0 means
+    /// `ctxrank_parallel::num_threads()`.
     pub workers: usize,
-    /// Bound on accepted-but-unserviced connections.
+    /// Bound on open connections, idle ones included; above it the
+    /// acceptor answers 503 + `Retry-After` and counts a shed.
     pub conn_backlog: usize,
     /// Bound on rank jobs queued in the micro-batcher.
     pub queue_capacity: usize,
@@ -53,7 +58,7 @@ pub struct ServeConfig {
     pub batch_max_wait: Duration,
     /// `Retry-After` seconds advertised on shed responses.
     pub retry_after_secs: u32,
-    /// Idle keep-alive read timeout before a worker drops a connection.
+    /// Idle keep-alive read timeout before a connection is closed.
     pub keep_alive_timeout: Duration,
     /// Total time a request may take from its first byte to the end of
     /// its body. This — not the socket timeout — is what stops a
@@ -125,54 +130,36 @@ impl ServeConfig {
 struct Inner {
     handle: Arc<ServiceHandle>,
     metrics: Arc<Metrics>,
-    /// Epoch-keyed result cache, `None` when disabled. Probed by
-    /// workers before submitting to the batcher; filled by the batcher
-    /// with rendered bodies.
+    /// Epoch-keyed result cache, `None` when disabled. Probed on the
+    /// connection thread before submitting to the batcher; filled by the
+    /// batcher with rendered bodies.
     cache: Option<Arc<ResultCache>>,
+    batcher: Batcher,
     config: ServeConfig,
     /// Two-phase publish staging (`/admin/epoch/*`); idle unless
     /// `enable_epoch_admin` routes to it.
     barrier: EpochBarrier,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conns_nonempty: Condvar,
-    shutting: AtomicBool,
-    /// Set by `POST /admin/shutdown`; `wait_for_shutdown_request` blocks
-    /// on it.
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
 }
 
 /// A running server. Dropping it without calling [`Server::shutdown`]
 /// aborts the threads unjoined; call `shutdown` for a graceful drain.
 pub struct Server {
     inner: Arc<Inner>,
-    addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    batcher: Arc<Batcher>,
+    front: Front,
 }
 
 impl Server {
-    /// Bind, spawn the acceptor + worker pool + batcher, and start
+    /// Bind, start the batcher and the connection front, and start
     /// serving `handle`. Returns as soon as the listener is live.
     pub fn start(handle: Arc<ServiceHandle>, config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::default());
-        let workers = if config.workers == 0 {
-            ctxrank_parallel::num_threads()
-        } else {
-            config.workers
-        };
-
         let cache = (config.cache_capacity_bytes > 0).then(|| {
             Arc::new(ResultCache::new(
                 config.cache_capacity_bytes,
                 config.cache_shards,
             ))
         });
-
-        let batcher = Arc::new(Batcher::start(
+        let batcher = Batcher::start(
             Arc::clone(&handle),
             Arc::clone(&metrics),
             cache.clone(),
@@ -180,52 +167,27 @@ impl Server {
             config.batch_max_size,
             config.batch_max_wait,
             config.shard.is_some(),
-        ));
-
+        );
         let inner = Arc::new(Inner {
             handle,
             metrics,
             cache,
+            batcher,
             config,
             barrier: EpochBarrier::new(),
-            conns: Mutex::new(VecDeque::new()),
-            conns_nonempty: Condvar::new(),
-            shutting: AtomicBool::new(false),
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
         });
-
-        let acceptor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("ctxrank-acceptor".into())
-                .spawn(move || run_acceptor(&inner, listener))
-                .expect("spawn acceptor")
+        let permits = match inner.config.workers {
+            0 => ctxrank_parallel::num_threads(),
+            workers => workers,
         };
-
-        let workers = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let batcher = Arc::clone(&batcher);
-                std::thread::Builder::new()
-                    .name(format!("ctxrank-worker-{i}"))
-                    .spawn(move || run_worker(&inner, &batcher))
-                    .expect("spawn worker")
-            })
-            .collect();
-
-        Ok(Server {
-            inner,
-            addr,
-            acceptor: Some(acceptor),
-            workers,
-            batcher,
-        })
+        let front = Front::start(&inner.config, Some(permits), Arc::clone(&inner) as _)
+            .inspect_err(|_| inner.batcher.shutdown())?;
+        Ok(Server { inner, front })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// The metric registry (scraped by `/metrics`; also handy in
@@ -237,247 +199,93 @@ impl Server {
     /// Block until a client calls `POST /admin/shutdown` (requires
     /// `enable_shutdown_endpoint`).
     pub fn wait_for_shutdown_request(&self) {
-        let mut requested = self
-            .inner
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned");
-        while !*requested {
-            requested = self
-                .inner
-                .shutdown_cv
-                .wait(requested)
-                .expect("shutdown flag poisoned");
-        }
+        self.front.wait_for_shutdown_request();
     }
 
-    /// Graceful drain: stop accepting, let workers finish queued
-    /// connections and in-flight requests, rank everything already in
-    /// the batcher, join all threads.
-    pub fn shutdown(mut self) {
-        self.inner.shutting.store(true, Ordering::Release);
-        // Wake the acceptor out of `accept()` with a throwaway
-        // connection; it checks the flag before handling it.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.acceptor.take() {
-            t.join().expect("acceptor panicked");
-        }
-        // Workers drain the connection queue, then exit.
-        self.inner.conns_nonempty.notify_all();
-        for t in self.workers.drain(..) {
-            t.join().expect("worker panicked");
-        }
+    /// Graceful drain: stop accepting, let every connection finish its
+    /// request in flight, rank everything already in the batcher, join
+    /// all threads.
+    pub fn shutdown(self) {
+        self.front.shutdown();
         // No submitters remain; drain the batcher's queue and join it.
-        self.batcher.shutdown();
+        self.inner.batcher.shutdown();
     }
 }
 
-fn run_acceptor(inner: &Inner, listener: TcpListener) {
-    for conn in listener.incoming() {
-        if inner.shutting.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let mut q = inner.conns.lock().expect("conn queue poisoned");
-        if q.len() >= inner.config.conn_backlog {
-            drop(q);
-            inner.metrics.record_shed();
-            shed_connection(stream, inner.config.retry_after_secs);
-            continue;
-        }
-        q.push_back(stream);
-        inner.conns_nonempty.notify_one();
-    }
-}
-
-/// Refuse a connection at the door: one 503 with `Retry-After`, close.
-fn shed_connection(mut stream: TcpStream, retry_after_secs: u32) {
-    let resp = Response::json(503, &json!({"error": "overloaded"}))
-        .with_header("retry-after", retry_after_secs.to_string());
-    let _ = write_response(&mut stream, &resp, false);
-}
-
-fn run_worker(inner: &Inner, batcher: &Batcher) {
-    loop {
-        let stream = {
-            let mut q = inner.conns.lock().expect("conn queue poisoned");
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break Some(s);
-                }
-                if inner.shutting.load(Ordering::Acquire) {
-                    break None;
-                }
-                let (guard, _) = inner
-                    .conns_nonempty
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .expect("conn queue poisoned");
-                q = guard;
-            }
-        };
-        match stream {
-            Some(s) => serve_connection(inner, batcher, s),
-            None => return,
-        }
-    }
-}
-
-fn serve_connection(inner: &Inner, batcher: &Batcher, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // The write half is shared with the batcher, which writes `/rank`
-    // responses directly (see batcher.rs); the mutex keeps worker and
-    // batcher response bytes from ever interleaving on the wire.
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let write = |resp: &Response, keep_alive: bool| {
-        let mut w = writer.lock().expect("conn writer poisoned");
-        write_response(&mut w, resp, keep_alive)
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Reset the idle timeout every iteration: the deadline logic
-        // inside `read_request_deadline` re-arms the socket timeout
-        // with the shrinking remaining budget, so the previous
-        // request's leftover value must not leak into this one.
-        let _ = reader
-            .get_ref()
-            .set_read_timeout(Some(inner.config.keep_alive_timeout));
-        let req = match read_request_deadline(&mut reader, Some(inner.config.request_deadline)) {
-            Ok(Some(req)) => req,
-            // Peer closed between requests — normal keep-alive end.
-            Ok(None) => return,
-            Err(HttpError::Io(e)) => {
-                // An idle keep-alive timeout is routine; a transport
-                // error mid-stream (reset, truncated send) is worth
-                // counting.
-                if !matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) {
-                    inner.metrics.record_io_error();
-                }
-                return;
-            }
-            Err(HttpError::Timeout) => {
-                inner.metrics.record_timeout();
-                inner.metrics.record_request(Endpoint::Other, 0.0);
-                let resp = Response::json(408, &json!({"error": "request timed out"}));
-                let _ = write(&resp, false);
-                return;
-            }
-            Err(HttpError::BadRequest(detail)) => {
-                inner.metrics.record_request(Endpoint::Other, 0.0);
-                let _ = write(&Response::json(400, &json!({"error": detail})), false);
-                return;
-            }
-            Err(HttpError::TooLarge) => {
-                inner.metrics.record_request(Endpoint::Other, 0.0);
-                let resp = Response::json(413, &json!({"error": "request too large"}));
-                let _ = write(&resp, false);
-                return;
-            }
-        };
+impl Handler for Inner {
+    fn handle(&self, req: &Request, keep_alive: bool, writer: &Writer) -> Option<Response> {
         let start = Instant::now();
-        // During drain, finish this response but do not keep the
-        // connection open for more.
-        let keep_alive = req.keep_alive && !inner.shutting.load(Ordering::Acquire);
-
-        // `/rank` hands the connection to the batcher: the response is
-        // rendered and written by the batcher thread once the batch
-        // completes. The worker goes straight back to `read_request` —
-        // a well-behaved client will not send its next request until
-        // the rank response arrives. (HTTP/1.1 pipelining of /rank with
-        // other endpoints is not supported; bytes still never tear
-        // because every write holds the connection's writer mutex.)
-        if req.method == "POST" && req.path == "/rank" {
-            match parse_rank_body(&req.body) {
-                Err(detail) => {
-                    inner
-                        .metrics
-                        .record_request(Endpoint::Rank, start.elapsed().as_secs_f64());
-                    let resp = Response::json(400, &json!({"error": detail}));
-                    if write(&resp, keep_alive).is_err() || !keep_alive {
-                        return;
-                    }
-                }
-                Ok((text, candidates)) => {
-                    // Probe the epoch-keyed cache before the batcher: a
-                    // hit answers on the worker thread with the body
-                    // the ranker rendered for this exact (epoch,
-                    // query) — zero batcher, zero ranker work. The
-                    // epoch read is one atomic load; because it is part
-                    // of the key, a publish landing between the read
-                    // and the write cannot produce a stale pairing
-                    // (the body was rendered by the epoch it claims).
-                    let qhash = inner.cache.as_ref().map(|_| query_hash(&text, &candidates));
-                    if let (Some(cache), Some(qhash)) = (inner.cache.as_ref(), qhash) {
-                        if let Some(body) = cache.get(inner.handle.epoch(), qhash, &inner.metrics) {
-                            inner
-                                .metrics
-                                .record_request(Endpoint::Rank, start.elapsed().as_secs_f64());
-                            let resp = Response {
-                                status: 200,
-                                content_type: "application/json",
-                                body: body.to_vec(),
-                                extra: Vec::new(),
-                            };
-                            if write(&resp, keep_alive).is_err() || !keep_alive {
-                                return;
-                            }
-                            continue;
-                        }
-                    }
-                    let job = RankJob {
-                        text,
-                        candidates,
-                        enqueued: start,
-                        writer: Arc::clone(&writer),
-                        keep_alive,
-                        query_hash: qhash,
-                    };
-                    match batcher.submit(&inner.metrics, job) {
-                        // The batcher owns the response now (and the
-                        // request metric, recorded when it writes). If
-                        // the connection is not staying open, just drop
-                        // the read half; the socket closes fully once
-                        // the batcher's write half goes too.
-                        Ok(()) => {
-                            if !keep_alive {
-                                return;
-                            }
-                        }
-                        Err(err) => {
-                            inner.metrics.record_shed();
-                            inner
-                                .metrics
-                                .record_request(Endpoint::Rank, start.elapsed().as_secs_f64());
-                            let detail = match err {
-                                SubmitError::QueueFull => "rank queue full",
-                                SubmitError::ShuttingDown => "shutting down",
-                            };
-                            let resp = Response::json(503, &json!({"error": detail})).with_header(
-                                "retry-after",
-                                inner.config.retry_after_secs.to_string(),
-                            );
-                            if write(&resp, keep_alive).is_err() || !keep_alive {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-
-        let (endpoint, resp) = dispatch(inner, &req);
-        inner
-            .metrics
+        let (endpoint, resp) = if req.method == "POST" && req.path == "/rank" {
+            (Endpoint::Rank, self.rank(req, keep_alive, writer, start)?)
+        } else {
+            dispatch(self, req)
+        };
+        self.metrics
             .record_request(endpoint, start.elapsed().as_secs_f64());
-        if write(&resp, keep_alive).is_err() || !keep_alive {
-            return;
+        Some(resp)
+    }
+
+    fn metrics(&self) -> Option<&Metrics> {
+        Some(&self.metrics)
+    }
+}
+
+impl Inner {
+    /// `/rank`: answer a cache hit (or a refusal) here, or hand the
+    /// request to the batcher, which renders and writes the response and
+    /// records the request once the batch completes (`None`). The connection thread goes straight back to
+    /// reading — a well-behaved client will not send its next request
+    /// until the rank response arrives. (HTTP/1.1 pipelining of /rank
+    /// with other endpoints is not supported; bytes still never tear
+    /// because every write holds the connection's writer mutex.)
+    fn rank(
+        &self,
+        req: &Request,
+        keep_alive: bool,
+        writer: &Writer,
+        start: Instant,
+    ) -> Option<Response> {
+        let (text, candidates) = match parse_rank_body(&req.body) {
+            Ok(parsed) => parsed,
+            Err(detail) => return Some(Response::json(400, &json!({"error": detail}))),
+        };
+        // Probe the epoch-keyed cache before the batcher: a hit answers
+        // on the connection thread with the body the ranker rendered for
+        // this exact (epoch, query) — zero batcher, zero ranker work. The
+        // epoch read is one atomic load; because it is part of the key, a
+        // publish landing between the read and the write cannot produce a
+        // stale pairing (the body was rendered by the epoch it claims).
+        let qhash = self.cache.as_ref().map(|_| query_hash(&text, &candidates));
+        if let (Some(cache), Some(qhash)) = (self.cache.as_ref(), qhash) {
+            if let Some(body) = cache.get(self.handle.epoch(), qhash, &self.metrics) {
+                return Some(Response {
+                    status: 200,
+                    content_type: "application/json",
+                    body: body.to_vec(),
+                    extra: Vec::new(),
+                });
+            }
         }
+        let job = RankJob {
+            text,
+            candidates,
+            enqueued: start,
+            writer: Arc::clone(writer),
+            keep_alive,
+            query_hash: qhash,
+        };
+        // On success the batcher owns the response (and the request
+        // metric, recorded when it writes).
+        let err = self.batcher.submit(&self.metrics, job).err()?;
+        self.metrics.record_shed();
+        let detail = match err {
+            SubmitError::QueueFull => "rank queue full",
+            SubmitError::ShuttingDown => "shutting down",
+        };
+        Some(
+            Response::json(503, &json!({"error": detail}))
+                .with_header("retry-after", self.config.retry_after_secs.to_string()),
+        )
     }
 }
 
@@ -544,18 +352,6 @@ fn dispatch(inner: &Inner, req: &Request) -> (Endpoint, Response) {
                 }),
             );
             (Endpoint::Other, resp)
-        }
-        ("POST", "/admin/shutdown") if inner.config.enable_shutdown_endpoint => {
-            let mut requested = inner
-                .shutdown_requested
-                .lock()
-                .expect("shutdown flag poisoned");
-            *requested = true;
-            inner.shutdown_cv.notify_all();
-            (
-                Endpoint::Other,
-                Response::json(200, &json!({"status": "shutting down"})),
-            )
         }
         ("GET" | "POST", _) => (
             Endpoint::Other,

@@ -305,8 +305,9 @@ fn publish_resets_hit_rate_to_zero() {
     let m = scrape(addr);
     assert_eq!(counter(&m, "ctxrank_cache_hits_total"), hits_warm + 1);
 
-    // Release the worker parked on this keep-alive connection before
-    // shutdown joins the pool, or the drain waits out the idle window.
+    // Close this keep-alive connection before shutdown: the drain waits
+    // for every open connection, and an idle one closes only at the end
+    // of its keep-alive window.
     drop(conn);
     server.shutdown();
 }

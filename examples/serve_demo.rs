@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Knobs: `CTXRANK_SERVE_ADDR` (default `127.0.0.1:7878`),
-//! `CTXRANK_THREADS` (worker pool size).
+//! `CTXRANK_THREADS` (requests executing at once).
 
 use ctxrank_bench::{build_projector, Experiment, ExperimentConfig};
 use ctxrank_framework::ServiceHandle;
